@@ -16,7 +16,8 @@ from fpcolor.errors import CapExceeded
 from fpcolor.graph import GraphError, bits, from_edge_list, from_graph6, to_edge_list, to_graph6
 from fpcolor.params import PARAMETERS, get_parameter
 from fpcolor.params import exact_mad_mask
-from fpcolor.solvers import chi_fp, col_fp, decide_choosability_fp, find_island
+from fpcolor.solvers import (CHOOSABILITY_N_CAP, CHOOSABILITY_S_CAP, chi_fp, col_fp,
+                             decide_choosability_fp, find_island)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -105,10 +106,11 @@ def cmd_param(args):
     g = load_graph(args)
     f = get_parameter(args.f)
     with rep.Stopwatch() as sw:
-        value = f.eval(g)
+        # mad's value is the floor of its exact value: one max-flow run, not two
+        exact = exact_mad_mask(g, g.full_mask()) if f.id == "mad" else None
+        value = f.eval(g) if exact is None else int(exact)
     result = {"parameter": f.id, "value": value, "traits": f.traits()}
-    if f.id == "mad":
-        exact = exact_mad_mask(g, g.full_mask())
+    if exact is not None:
         result["exact_mad"] = exact
     emit(args, rep.make_report("param", _inputs(g, f=f.id), result,
                                elapsed_ms=sw.elapsed_ms if args.timing else None))
@@ -281,8 +283,8 @@ def build_parser():
     sp.add_argument("--f", required=True, choices=sorted(PARAMETERS))
     sp.add_argument("--p", type=int, default=1)
     sp.add_argument("--s", type=int)
-    sp.add_argument("--cap-choosability-n", type=int, default=10)
-    sp.add_argument("--cap-choosability-s", type=int, default=3)
+    sp.add_argument("--cap-choosability-n", type=int, default=CHOOSABILITY_N_CAP)
+    sp.add_argument("--cap-choosability-s", type=int, default=CHOOSABILITY_S_CAP)
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("generate", help="emit a graph as graph6 or edge list")
@@ -331,7 +333,7 @@ def build_parser():
     sp.add_argument("--max-n", type=int, default=6)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--smax", type=int, default=3)
-    sp.add_argument("--cap-choosability-n", type=int, default=10)
+    sp.add_argument("--cap-choosability-n", type=int, default=CHOOSABILITY_N_CAP)
     sp.set_defaults(fn=cmd_question)
 
     return ap

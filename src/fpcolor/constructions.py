@@ -15,7 +15,8 @@ from itertools import combinations, product
 
 from fpcolor import density
 from fpcolor.errors import CapExceeded
-from fpcolor.graph import Graph, average_degree, bits, component_sizes, girth, induced_subgraph, induced_vertices, mask_of
+from fpcolor.graph import (Graph, average_degree, bits, class_masks, component_sizes, girth,
+                           induced_subgraph, induced_vertices, mask_of)
 from fpcolor.solvers import ListAssignment
 
 GOOD_VERTICES_EXACT_S_CAP = 3
@@ -370,11 +371,9 @@ def mono_dense_witness(g, coloring, k):
     """
     if len(coloring) != g.n:
         raise ValueError("coloring must be total on V(G)")
-    class_masks = {}
-    for v, c in enumerate(coloring):
-        class_masks[c] = class_masks.get(c, 0) | 1 << v
-    for color in sorted(class_masks):
-        mask = class_masks[color]
+    masks = class_masks(coloring)
+    for color in sorted(masks):
+        mask = masks[color]
         sub = induced_subgraph(g, mask)
         dens, densest = density.max_density(sub)
         avg = 2 * dens

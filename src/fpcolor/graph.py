@@ -2,6 +2,11 @@
 
 Vertices are dense 0-based integers.  A vertex set is a plain int used as a
 bitmask over 0..n-1, which keeps subgraph and island machinery cheap.
+
+The one colouring backtracker (``find_coloring``) lives here too, below the
+parameter layer, so that ``chi``, list colouring and the chromatic parameter
+all search through it.  It tests colour classes through a ``ClassOracle``,
+a per-solve memo of "may this vertex set form a class".
 """
 
 from __future__ import annotations
@@ -111,10 +116,6 @@ def mask_of(vertices):
 
 
 # -- construction / ingestion -----------------------------------------------
-
-
-def from_edges(n, edges, name=""):
-    return Graph(n, edges, name=name)
 
 
 def from_edge_list(text, name=""):
@@ -313,3 +314,66 @@ def average_degree(g):
     if g.n == 0:
         raise GraphError("average degree of the null graph is undefined")
     return Fraction(2 * g.edge_count(), g.n)
+
+
+# -- colour classes -------------------------------------------------------------
+
+
+def class_masks(coloring):
+    """Colour -> vertex mask of its class, colours in order of first use."""
+    masks = {}
+    for v, c in enumerate(coloring):
+        masks[c] = masks.get(c, 0) | 1 << v
+    return masks
+
+
+class ClassOracle(dict):
+    """``oracle[mask]`` is whether ``evaluate(g, mask) <= p``: may the vertex
+    set ``mask`` form one colour class.  Each mask is evaluated once; an
+    oracle belongs to one solve and is dropped with it.
+    """
+
+    def __init__(self, g, evaluate, p):
+        super().__init__()
+        self.g, self.evaluate, self.p = g, evaluate, p
+
+    def __missing__(self, mask):
+        ok = self[mask] = self.evaluate(self.g, mask) <= self.p
+        return ok
+
+
+def find_coloring(order, palette, allowed, hereditary=True):
+    """First colouring of the vertices in ``order`` whose classes are all
+    ``allowed`` (a ``ClassOracle``), as a tuple of colours aligned with
+    ``order``, or None.
+
+    ``palette`` is either an int s, for colours 0..s-1 that are
+    interchangeable (a vertex may open at most one new colour), or per-vertex
+    colour lists, each tried in sorted order.  Vertices are coloured in
+    ``order``, colours lowest first.  With ``hereditary`` a partial class that
+    is not allowed prunes the branch at once, since no superset can recover;
+    otherwise only the finished classes are tested, at the leaf.
+    """
+    k = len(order)
+    free = isinstance(palette, int)
+    choices = None if free else [sorted(palette[v]) for v in order]
+    colors = [0] * k
+    classes = {}
+
+    def rec(i, used):
+        if i == k:
+            return hereditary or all(allowed[m] for m in classes.values() if m)
+        bit = 1 << order[i]
+        for c in range(min(used + 1, palette)) if free else choices[i]:
+            saved = classes.get(c, 0)
+            grown = saved | bit
+            if hereditary and not allowed[grown]:
+                continue
+            classes[c] = grown
+            colors[i] = c
+            if rec(i + 1, max(used, c + 1)):
+                return True
+            classes[c] = saved
+        return False
+
+    return tuple(colors) if rec(0, 0) else None

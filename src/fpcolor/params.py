@@ -17,7 +17,7 @@ from typing import Callable
 
 from fpcolor import density
 from fpcolor.errors import CapExceeded
-from fpcolor.graph import Graph, bits, components
+from fpcolor.graph import ClassOracle, Graph, bits, components, find_coloring
 
 CHROMATIC_CAP = 24
 FAN_NEIGHBORHOOD_CAP = 20
@@ -118,60 +118,25 @@ def _chromatic(g, mask, cap=CHROMATIC_CAP):
         raise CapExceeded(f"chromatic: n={k} exceeds cap {cap}", cap_name="chromatic-n")
     # order by degree inside the mask, densest first
     verts.sort(key=lambda v: -(g.adj[v] & mask).bit_count())
-    pos = {v: i for i, v in enumerate(verts)}
-    nbr = [0] * k
-    for i, v in enumerate(verts):
-        for w in bits(g.adj[v] & mask):
-            nbr[i] |= 1 << pos[w]
 
     # greedy clique lower bound
-    clique = 0
-    cand = (1 << k) - 1
-    i = 0
-    while cand:
-        low = cand & -cand
-        j = low.bit_length() - 1
-        clique += 1
-        cand &= nbr[j]
-        i += 1
+    clique, cand = 0, mask
+    for v in verts:
+        if cand >> v & 1:
+            clique += 1
+            cand &= g.adj[v]
 
     # greedy upper bound
-    colors = [-1] * k
-    for i in range(k):
-        used = 0
-        for j in bits(nbr[i]):
-            if colors[j] >= 0:
-                used |= 1 << colors[j]
-        c = 0
-        while used >> c & 1:
-            c += 1
-        colors[i] = c
-    upper = max(colors) + 1
+    colors = {}
+    for v in verts:
+        taken = {colors.get(w) for w in bits(g.adj[v] & mask)}
+        colors[v] = next(c for c in range(k) if c not in taken)
+    upper = max(colors.values()) + 1
 
-    def colorable(limit):
-        assign = [-1] * k
-
-        def rec(i, used_count):
-            if i == k:
-                return True
-            forbidden = 0
-            for j in bits(nbr[i]):
-                if assign[j] >= 0:
-                    forbidden |= 1 << assign[j]
-            top = min(used_count + 1, limit)
-            for c in range(top):
-                if forbidden >> c & 1:
-                    continue
-                assign[i] = c
-                if rec(i + 1, max(used_count, c + 1)):
-                    return True
-                assign[i] = -1
-            return False
-
-        return rec(0, 0)
-
+    # a class is an independent set: max degree 0 inside it
+    independent = ClassOracle(g, _max_degree, 0)
     for s in range(clique, upper):
-        if colorable(s):
+        if find_coloring(verts, s, independent) is not None:
             return s
     return upper
 
@@ -193,28 +158,3 @@ def get_parameter(token):
             f"unknown parameter {token!r}; choose from {sorted(PARAMETERS)}"
         ) from None
 
-
-def eval_max_degree(g):
-    return PARAMETERS["max-degree"].eval(g)
-
-
-def eval_star(g):
-    return PARAMETERS["star"].eval(g)
-
-
-def eval_mad_floor(g):
-    return PARAMETERS["mad"].eval(g)
-
-
-def eval_fan(g):
-    return PARAMETERS["fan"].eval(g)
-
-
-def eval_chromatic(g):
-    return PARAMETERS["chromatic"].eval(g)
-
-
-def parameter_traits(param):
-    if isinstance(param, str):
-        param = get_parameter(param)
-    return param.traits()

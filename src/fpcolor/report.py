@@ -216,8 +216,15 @@ def verify_certificate(g: Graph, cert: dict) -> bool:
 
 
 def verify_report(report: dict) -> bool:
+    """Re-verify a loaded report; a malformed one raises CertificateError."""
+    if not isinstance(report, dict):
+        raise CertificateError("report is not a JSON object")
     cert = report.get("certificate")
     if cert is None:
         raise CertificateError("report carries no certificate")
-    g = _graph_from_report(report)
-    return verify_certificate(g, cert)
+    try:
+        return verify_certificate(_graph_from_report(report), cert)
+    except KeyError as exc:
+        raise CertificateError(f"malformed report: missing field {exc}") from None
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise CertificateError(f"malformed report: {exc}") from None

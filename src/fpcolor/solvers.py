@@ -3,6 +3,12 @@
 Everything here is deterministic: search ties break lowest-vertex-first and
 lowest-color-first, so certificates are reproducible bit for bit.
 
+``chi_fp`` and ``exists_L_coloring`` only set up calls to the one colouring
+backtracker, ``graph.find_coloring``.  Each solve builds one
+``graph.ClassOracle`` that evaluates ``f(class) <= p`` once per vertex set:
+``chi_fp`` shares it across every colour count it tries and
+``decide_choosability_fp`` across all of its list systems.
+
 The island coloring number is computed by iterated island removal rather
 than by its every-induced-subgraph definition; the two agree for hereditary
 parameters (the first peel island meeting an induced subgraph H intersects
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from fpcolor.errors import CapExceeded
-from fpcolor.graph import Graph, bits
+from fpcolor.graph import ClassOracle, Graph, bits, class_masks, find_coloring
 from fpcolor.params import Parameter
 
 CHOOSABILITY_N_CAP = 10
@@ -76,10 +82,7 @@ def verify_fp_proper(g: Graph, coloring, f: Parameter, p: int) -> bool:
     """True iff every color class induces a subgraph with f <= p."""
     if len(coloring) != g.n:
         raise ValueError("coloring must be total on V(G)")
-    class_masks = {}
-    for v, c in enumerate(coloring):
-        class_masks[c] = class_masks.get(c, 0) | 1 << v
-    return all(f.eval_mask(g, m) <= p for m in class_masks.values())
+    return all(f.eval_mask(g, m) <= p for m in class_masks(coloring).values())
 
 
 def _is_island(g, island, active, s):
@@ -215,75 +218,27 @@ def chi_fp(g: Graph, f: Parameter, p: int, cap=CHI_N_CAP):
         raise CapExceeded(f"chi: n={g.n} exceeds cap {cap}", cap_name="chi-n")
     if g.n == 0:
         return 0, ()
+    allowed = ClassOracle(g, f.eval_mask, p)
     for v in range(g.n):
-        if f.eval_mask(g, 1 << v) > p:
+        if not allowed[1 << v]:
             raise ValueError(f"chi undefined: f(single vertex {v}) > {p}")
-    prune = f.hereditary
-
     for s in range(1, g.n + 1):
-        assign = [-1] * g.n
-        class_masks = [0] * s
-
-        def rec(i, used):
-            if i == g.n:
-                if prune:
-                    return True
-                return all(
-                    f.eval_mask(g, m) <= p for m in class_masks[:used] if m
-                )
-            for c in range(min(used + 1, s)):
-                grown = class_masks[c] | 1 << i
-                if prune and f.eval_mask(g, grown) > p:
-                    continue
-                assign[i] = c
-                saved = class_masks[c]
-                class_masks[c] = grown
-                if rec(i + 1, max(used, c + 1)):
-                    return True
-                class_masks[c] = saved
-                assign[i] = -1
-            return False
-
-        if rec(0, 0):
-            return s, tuple(assign)
+        colors = find_coloring(range(g.n), s, allowed, f.hereditary)
+        if colors is not None:
+            return s, colors
     raise AssertionError("unreachable: singleton classes always color at s = n")
 
 
-def exists_L_coloring(g: Graph, L: ListAssignment, f: Parameter, p: int):
-    """An (f,p)-proper coloring with colors drawn from L, or None."""
+def exists_L_coloring(g: Graph, L: ListAssignment, f: Parameter, p: int, *, allowed=None):
+    """An (f,p)-proper coloring with colors drawn from L, or None.
+
+    ``allowed`` is a ``ClassOracle`` for (g, f, p) to share across calls.
+    """
     if L.n != g.n:
         raise ValueError("list assignment domain mismatch")
-    if g.n == 0:
-        return ()
-    prune = f.hereditary
-    assign = [-1] * g.n
-    class_masks = {}
-    choices = [sorted(lst) for lst in L.lists]
-
-    def rec(i):
-        if i == g.n:
-            if prune:
-                return True
-            return all(f.eval_mask(g, m) <= p for m in class_masks.values())
-        for c in choices[i]:
-            grown = class_masks.get(c, 0) | 1 << i
-            if prune and f.eval_mask(g, grown) > p:
-                continue
-            assign[i] = c
-            saved = class_masks.get(c, 0)
-            class_masks[c] = grown
-            if rec(i + 1):
-                return True
-            if saved:
-                class_masks[c] = saved
-            else:
-                del class_masks[c]
-            assign[i] = -1
-        return False
-
-    if rec(0):
-        return tuple(assign)
-    return None
+    if allowed is None:
+        allowed = ClassOracle(g, f.eval_mask, p)
+    return find_coloring(range(g.n), L.lists, allowed, f.hereditary)
 
 
 def decide_choosability_fp(
@@ -313,12 +268,13 @@ def decide_choosability_fp(
     if g.n == 0:
         return True, None
 
+    allowed = ClassOracle(g, f.eval_mask, p)
     lists = [None] * g.n
 
     def rec(i, used):
         if i == g.n:
             L = ListAssignment(tuple(lists), s)
-            if exists_L_coloring(g, L, f, p) is None:
+            if exists_L_coloring(g, L, f, p, allowed=allowed) is None:
                 return L
             return None
         for fresh in range(s + 1):

@@ -13,9 +13,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from fpcolor import constructions as cons
-from fpcolor.graph import average_degree, bits, to_graph6
-from fpcolor.params import PARAMETERS, eval_chromatic
+from fpcolor.graph import average_degree, bits, class_masks, to_graph6
+from fpcolor.params import PARAMETERS
 from fpcolor.solvers import (
+    CHOOSABILITY_N_CAP,
     chi_fp,
     col_fp,
     compose_bound,
@@ -55,7 +56,7 @@ def _counterexample(g, **extra):
     return bundle
 
 
-def choosability_value(g, f, p, smax, cap_n=10):
+def choosability_value(g, f, p, smax, cap_n=CHOOSABILITY_N_CAP):
     """Least s <= smax with every s-list assignment colorable, or None."""
     for s in range(1, smax + 1):
         ok, _ = decide_choosability_fp(g, s, f, p, cap_n=cap_n, cap_s=smax)
@@ -161,7 +162,7 @@ def suite_addit(graphs=100, max_n=10, p_values=(1, 2), seed=0):
     failures = []
     checks = 0
     for g in sample:
-        chi = eval_chromatic(g)
+        chi = CHROMATIC.eval(g)
         for p in p_values:
             s, coloring = chi_fp(g, CHROMATIC, p)
             bound = compose_bound(p, s, lambda a, b: a + b)
@@ -201,7 +202,7 @@ def suite_path(t_values=(1, 2, 3), trials=1000, seed=0, n=None):
                 )
                 continue
             biggest = max(
-                (STAR.eval_mask(g, m) for m in _class_masks(coloring).values()), default=0
+                (STAR.eval_mask(g, m) for m in class_masks(coloring).values()), default=0
             )
             worst = max(worst, biggest)
             if biggest > bound:
@@ -227,13 +228,6 @@ def suite_path(t_values=(1, 2, 3), trials=1000, seed=0, n=None):
         "failures": failures,
         "passed": not failures,
     }
-
-
-def _class_masks(coloring):
-    masks = {}
-    for v, c in enumerate(coloring):
-        masks[c] = masks.get(c, 0) | 1 << v
-    return masks
 
 
 def suite_coldens(graphs=200, max_n=12, p_values=(1, 2, 3, 4), seed=0):
@@ -401,7 +395,7 @@ SUITES = {
 # -- conjecture scans (no pass/fail claim) ------------------------------------
 
 
-def question_scan(which, graphs, p, smax=3, cap_n=10):
+def question_scan(which, graphs, p, smax=3, cap_n=CHOOSABILITY_N_CAP):
     """Scan small graphs for violations of the clustered / mad choosability
     ratio conjectures; records slack, never claims a proof."""
     rows = []

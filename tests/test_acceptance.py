@@ -12,7 +12,7 @@ import time
 
 from conftest import ACCEPTANCE_LINES, brute_col
 from fpcolor import constructions as cons
-from fpcolor.params import PARAMETERS, eval_chromatic
+from fpcolor.params import PARAMETERS
 from fpcolor.report import canonical_json
 from fpcolor.solvers import chi_fp, col_fp, degeneracy_col
 from fpcolor.suites import (
@@ -85,7 +85,7 @@ def test_criterion_05_coloring_number_identity():
     for g in sample:
         if col_fp(g, STAR, 1).value != degeneracy_col(g):
             bad += 1
-        elif chi_fp(g, STAR, 1)[0] != eval_chromatic(g):
+        elif chi_fp(g, STAR, 1)[0] != PARAMETERS["chromatic"].eval(g):
             bad += 1
     record(5, "cluster-1 identities", bad == 0,
            f"{len(sample)} graphs, {bad} mismatches", time.monotonic() - t0, 120)

@@ -7,12 +7,15 @@ import pytest
 
 from fpcolor import constructions as cons
 from fpcolor.graph import (
+    ClassOracle,
     Graph,
     GraphError,
     average_degree,
     bits,
+    class_masks,
     component_sizes,
     components,
+    find_coloring,
     from_edge_list,
     from_graph6,
     girth,
@@ -177,3 +180,33 @@ def test_content_hash_tracks_structure():
     b = cons.cycle(5)
     assert a.content_hash() == b.content_hash()
     assert a.content_hash() != cons.path(5).content_hash()
+
+
+def test_class_masks():
+    assert class_masks((2, 0, 2, 1)) == {2: 0b0101, 0: 0b0010, 1: 0b1000}
+    assert list(class_masks((2, 0, 2, 1))) == [2, 0, 1]
+    assert class_masks(()) == {}
+
+
+def test_class_oracle_evaluates_each_mask_once():
+    calls = []
+
+    def size(g, mask):
+        calls.append(mask)
+        return mask.bit_count()
+
+    allowed = ClassOracle(cons.path(4), size, 2)
+    assert allowed[0b0011] and not allowed[0b0111] and allowed[0b0011]
+    assert calls == [0b0011, 0b0111]
+
+
+def test_find_coloring_palettes():
+    c5 = cons.cycle(5)
+    independent = ClassOracle(c5, lambda g, m: any(g.adj[v] & m for v in bits(m)), 0)
+    assert find_coloring(range(5), 2, independent) is None
+    assert find_coloring(range(5), 3, independent) == (0, 1, 0, 1, 2)
+    # colours follow the given vertex order; lists are tried in sorted order
+    assert find_coloring([4, 3, 2, 1, 0], 3, independent) == (0, 1, 0, 1, 2)
+    lists = [{5, 1}, {1, 2}, {1, 2}, {1, 2}, {2, 5}]
+    assert find_coloring(range(5), lists, independent) == (1, 2, 1, 2, 5)
+    assert find_coloring((), 1, independent) == ()

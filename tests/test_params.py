@@ -10,17 +10,13 @@ from fpcolor import constructions as cons
 from fpcolor.density import exact_mad, max_density
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import Graph, average_degree, bits, components, induced_subgraph, mask_of
-from fpcolor.params import (
-    PARAMETERS,
-    eval_chromatic,
-    eval_fan,
-    eval_mad_floor,
-    eval_max_degree,
-    eval_star,
-    exact_mad_mask,
-    get_parameter,
-    parameter_traits,
-)
+from fpcolor.params import PARAMETERS, exact_mad_mask, get_parameter
+
+MAX_DEGREE = PARAMETERS["max-degree"]
+STAR = PARAMETERS["star"]
+MAD = PARAMETERS["mad"]
+FAN = PARAMETERS["fan"]
+CHROMATIC = PARAMETERS["chromatic"]
 
 
 def sample_graphs(count, max_n, seed, min_n=0):
@@ -34,26 +30,26 @@ def sample_graphs(count, max_n, seed, min_n=0):
 
 def test_known_values():
     c5 = cons.cycle(5)
-    assert eval_max_degree(c5) == 2
-    assert eval_star(c5) == 5
-    assert eval_mad_floor(c5) == 2
-    assert eval_fan(c5) == 2
-    assert eval_chromatic(c5) == 3
+    assert MAX_DEGREE.eval(c5) == 2
+    assert STAR.eval(c5) == 5
+    assert MAD.eval(c5) == 2
+    assert FAN.eval(c5) == 2
+    assert CHROMATIC.eval(c5) == 3
 
     k4 = cons.complete(4)
-    assert eval_max_degree(k4) == 3
-    assert eval_star(k4) == 4
-    assert eval_mad_floor(k4) == 3
-    assert eval_fan(k4) == 4
-    assert eval_chromatic(k4) == 4
+    assert MAX_DEGREE.eval(k4) == 3
+    assert STAR.eval(k4) == 4
+    assert MAD.eval(k4) == 3
+    assert FAN.eval(k4) == 4
+    assert CHROMATIC.eval(k4) == 4
 
     pet = cons.petersen()
-    assert eval_max_degree(pet) == 3
-    assert eval_mad_floor(pet) == 3
-    assert eval_chromatic(pet) == 3
+    assert MAX_DEGREE.eval(pet) == 3
+    assert MAD.eval(pet) == 3
+    assert CHROMATIC.eval(pet) == 3
 
-    assert eval_chromatic(cons.complete_bipartite(3, 3)) == 2
-    assert eval_chromatic(cons.edgeless(4)) == 1
+    assert CHROMATIC.eval(cons.complete_bipartite(3, 3)) == 2
+    assert CHROMATIC.eval(cons.edgeless(4)) == 1
 
 
 def test_null_graph_convention():
@@ -64,18 +60,18 @@ def test_null_graph_convention():
 
 def test_single_vertex_values():
     one = Graph(1)
-    assert eval_star(one) == 1
-    assert eval_fan(one) == 1
-    assert eval_chromatic(one) == 1
-    assert eval_max_degree(one) == 0
-    assert eval_mad_floor(one) == 0
+    assert STAR.eval(one) == 1
+    assert FAN.eval(one) == 1
+    assert CHROMATIC.eval(one) == 1
+    assert MAX_DEGREE.eval(one) == 0
+    assert MAD.eval(one) == 0
 
 
 def test_get_parameter():
     assert get_parameter("star") is PARAMETERS["star"]
     with pytest.raises(ValueError):
         get_parameter("bogus")
-    traits = parameter_traits("fan")
+    traits = PARAMETERS["fan"].traits()
     assert traits["hereditary"] and not traits["bounds_avg_degree"]
 
 
@@ -122,14 +118,14 @@ def test_average_degree_bounding_flags():
     # the three declared-bounding parameters dominate the average degree
     for g in sample_graphs(40, 9, 19, min_n=1):
         avg = average_degree(g)
-        assert avg <= eval_max_degree(g)
-        assert avg < eval_star(g) + 1
-        assert avg <= eval_mad_floor(g) + 1
+        assert avg <= MAX_DEGREE.eval(g)
+        assert avg < STAR.eval(g) + 1
+        assert avg <= MAD.eval(g) + 1
     # fan and chromatic stay constant on K_{n,n} while density grows
     for n in (3, 5, 8):
         knn = cons.complete_bipartite(n, n)
-        assert eval_fan(knn) == 2
-        assert eval_chromatic(knn) == 2
+        assert FAN.eval(knn) == 2
+        assert CHROMATIC.eval(knn) == 2
         assert average_degree(knn) == n
 
 
@@ -142,7 +138,7 @@ def test_exact_mad_against_subset_oracle():
                 inner = sum((g.adj[v] & mask).bit_count() for v in combo)
                 best = max(best, Fraction(inner, size))
         assert exact_mad(g) == best
-        assert eval_mad_floor(g) == int(best)
+        assert MAD.eval(g) == int(best)
 
 
 def test_max_density_witness_attains_value():
@@ -179,12 +175,12 @@ def test_fan_against_naive_oracle():
         return max(1 + naive_longest_path(g, g.adj[v]) for v in range(g.n))
 
     for g in sample_graphs(25, 7, 31, min_n=1):
-        assert eval_fan(g) == naive_fan(g)
+        assert FAN.eval(g) == naive_fan(g)
 
 
 def test_fan_cap():
     with pytest.raises(CapExceeded):
-        eval_fan(cons.complete(22))
+        FAN.eval(cons.complete(22))
 
 
 def test_chromatic_against_naive_oracle():
@@ -198,12 +194,12 @@ def test_chromatic_against_naive_oracle():
         raise AssertionError
 
     for g in sample_graphs(20, 6, 37):
-        assert eval_chromatic(g) == naive_chromatic(g)
+        assert CHROMATIC.eval(g) == naive_chromatic(g)
 
 
 def test_chromatic_cap():
     with pytest.raises(CapExceeded):
-        eval_chromatic(cons.random_gnp(30, 0.5, 1))
+        CHROMATIC.eval(cons.random_gnp(30, 0.5, 1))
 
 
 def test_eval_mask_matches_induced_eval():

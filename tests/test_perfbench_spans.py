@@ -1,0 +1,54 @@
+"""The benchmark's tracer still finds every entry point it wraps.
+
+``perfbench/spans.py`` wraps named functions and methods of ``src/`` from
+outside; a rename there would only show up under ``run.py --trace 1``.  This
+smoke test installs and uninstalls the tracer so that it shows up here.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from fpcolor import cli, constructions as cons, density, params, solvers  # noqa: F401
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def entry_points(spans):
+    found = {(module, attr): getattr(sys.modules[f"fpcolor.{module}"], attr)
+             for module, attr, _ in spans.FUNCTIONS}
+    found["eval_mask"] = params.Parameter.eval_mask
+    found.update({p.id: p.evaluator for p in params.PARAMETERS.values()})
+    found.update({attr: getattr(density._Dinic, attr)
+                  for attr in ("max_flow", "_bfs", "add_edge")})
+    return found
+
+
+def test_tracer_install_round_trip(tmp_path):
+    spans = load_spans()
+    before = entry_points(spans)
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        tracer.start_pass()
+        tracer.start_job(0)
+        assert cli.main(["solve", "choosable", "--gen", "cycle:4", "--f", "star",
+                         "--p", "1", "--s", "2", "--out", str(tmp_path / "c4.json")]) == 0
+        solvers.chi_fp(cons.cycle(5), params.PARAMETERS["mad"], 1)
+    finally:
+        spans.uninstall(undo)
+    assert tracer.calls["cli.main"] == 1
+    assert tracer.calls["solvers.decide_choosability_fp"] == 1
+    assert tracer.calls["solvers.exists_L_coloring"] > 1
+    assert tracer.calls["solvers.chi_fp"] == 1
+    assert tracer.calls["params.eval_mask"] > 0
+    assert tracer.calls["density.max_flow"] > 0
+    after = entry_points(spans)
+    assert all(after[key] is value for key, value in before.items())

@@ -151,6 +151,24 @@ def test_cli_param_mad_reports_exact_value(capsys):
     assert rep["result"]["exact_mad"] == "3/2"
 
 
+def test_cli_param_mad_runs_one_exact_mad(capsys, monkeypatch):
+    from fpcolor import density
+
+    calls = []
+    original = density.exact_mad
+
+    def counted(g):
+        calls.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(density, "exact_mad", counted)
+    code, out, _ = run_cli(capsys, "param", "--gen", "path:6", "--f", "mad")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["result"]["value"], rep["result"]["exact_mad"]) == (1, "5/3")
+    assert calls == [6]
+
+
 def test_cli_solve_and_verify_round_trip(tmp_path, capsys):
     out_file = tmp_path / "col.json"
     code, _, _ = run_cli(capsys, "solve", "col", "--gen", "petersen:",
@@ -166,6 +184,26 @@ def test_cli_solve_and_verify_round_trip(tmp_path, capsys):
     bad_file.write_text(json.dumps(rep))
     code, out, _ = run_cli(capsys, "verify", str(bad_file))
     assert code == 1 and "INVALID" in out
+
+
+def test_cli_verify_malformed_reports(tmp_path, capsys):
+    """A malformed report ends in exit 1 and one line on stderr, not a traceback."""
+    col_file = tmp_path / "col.json"
+    run_cli(capsys, "solve", "col", "--gen", "petersen", "--f", "star", "--p", "1",
+            "--out", str(col_file))
+    chi_file = tmp_path / "chi.json"
+    run_cli(capsys, "solve", "chi", "--gen", "cycle:5", "--f", "star", "--p", "1",
+            "--out", str(chi_file))
+    no_islands = json.loads(col_file.read_text())
+    del no_islands["certificate"]["upper"]["islands"]
+    no_f = json.loads(chi_file.read_text())
+    del no_f["certificate"]["f"]
+    for name, payload in (("no_islands", no_islands), ("no_f", no_f), ("list", [1, 2])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 1, name
+        assert out == "" and err.startswith("verify: ") and err.count("\n") == 1, (name, err)
 
 
 def test_cli_choosable_failure_exit_code(tmp_path, capsys):

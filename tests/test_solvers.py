@@ -1,6 +1,7 @@
 """Exact solvers: islands, peeling, chromatic and choosability decisions."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -8,7 +9,7 @@ from conftest import brute_chi, brute_col, has_island_brute
 from fpcolor import constructions as cons
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import Graph, bits, mask_of
-from fpcolor.params import PARAMETERS, eval_chromatic
+from fpcolor.params import PARAMETERS, Parameter
 from fpcolor.solvers import (
     chi_fp,
     col_fp,
@@ -131,7 +132,7 @@ def test_caps_raise():
 def test_chi_matches_chromatic_and_brute():
     for g in random_graph_sample(25, 6, 109):
         s, coloring = chi_fp(g, STAR, 1)
-        assert s == eval_chromatic(g)
+        assert s == PARAMETERS["chromatic"].eval(g)
         if g.n:
             assert verify_fp_proper(g, coloring, STAR, 1)
         assert chi_fp(g, STAR, 2)[0] == brute_chi(g, STAR, 2)
@@ -159,6 +160,45 @@ def test_exists_L_coloring():
     assert exists_L_coloring(k24, bad, STAR, 1) is None
     with pytest.raises(ValueError):
         exists_L_coloring(cons.path(3), L, STAR, 1)
+
+
+def _isolated_count(g, mask):
+    return sum(1 for v in bits(mask) if not g.adj[v] & mask)
+
+
+#: isolated vertices of the induced subgraph: not hereditary, since adding a
+#: common neighbour to two isolated vertices lowers the count from 2 to 0
+ISOLATED = Parameter("isolated", False, False, False, False, _isolated_count)
+
+
+def test_non_hereditary_parameter_checks_classes_at_the_leaf():
+    # leaves 0, 1 and centre 2: the class {0, 1} fails, its superset {0, 1, 2}
+    # passes, so pruning partial classes would wrongly give 2 instead of 1
+    assert chi_fp(cons.complete_bipartite(2, 1), ISOLATED, 1) == (1, (0, 0, 0))
+    rng = random.Random(137)
+    for g in random_graph_sample(30, 6, 137, min_n=1):
+        s, coloring = chi_fp(g, ISOLATED, 1)
+        assert s == brute_chi(g, ISOLATED, 1)
+        first = next(c for c in product(range(s), repeat=g.n)
+                     if verify_fp_proper(g, c, ISOLATED, 1))
+        assert coloring == first
+        for _ in range(3):
+            L = random_list_assignment(g.n, 2, 3, rng)
+            first = next((c for c in product(*map(sorted, L.lists))
+                          if verify_fp_proper(g, c, ISOLATED, 1)), None)
+            assert exists_L_coloring(g, L, ISOLATED, 1) == first
+
+
+def test_certificates_are_pinned():
+    """Vertex and colour order decide which certificate comes out; pin them."""
+    assert chi_fp(cons.random_gnp(24, 0.5, 1), STAR, 1) == (
+        6, (0, 1, 2, 0, 3, 3, 2, 4, 5, 5, 2, 3, 5, 2, 5, 1, 3, 1, 0, 1, 3, 4, 0, 4))
+    assert chi_fp(cons.robertson(), PARAMETERS["chromatic"], 2) == (
+        2, (0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1))
+    ok, bad = decide_choosability_fp(cons.complete_bipartite(2, 4), 2, STAR, 1)
+    assert not ok and bad.s == 2
+    assert [sorted(lst) for lst in bad.lists] == [
+        [0, 1], [2, 3], [0, 2], [0, 3], [1, 2], [1, 3]]
 
 
 def test_choosability_decisions():
