@@ -151,43 +151,59 @@ def _graph_from_report(report):
     return g
 
 
+def _parameter(cert):
+    try:
+        return get_parameter(cert["f"])
+    except ValueError as exc:
+        raise CertificateError(str(exc)) from None
+
+
+def _vertex_mask(g, vertices):
+    """Bitmask of a certificate's vertex list, whose ids must lie in 0..n-1."""
+    for v in vertices:
+        if type(v) is not int or not 0 <= v < g.n:
+            raise CertificateError(f"vertex id {v!r} out of range for n={g.n}")
+    return mask_of(vertices)
+
+
 def verify_certificate(g: Graph, cert: dict) -> bool:
     """Re-check one certificate against the definitions."""
     kind = cert.get("type")
     if kind == "peel":
-        f = get_parameter(cert["f"])
+        f = _parameter(cert)
         islands = tuple(
-            IslandCertificate(mask_of(vs), cert["s"], 0, {}) for vs in cert["islands"]
+            IslandCertificate(_vertex_mask(g, vs), cert["s"], 0, {}) for vs in cert["islands"]
         )
         return verify_peel(g, PeelDecomposition(islands, cert["s"], cert["f"], cert["p"]), f)
     if kind == "island_free":
-        f = get_parameter(cert["f"])
-        mask = mask_of(cert["vertices"])
+        f = _parameter(cert)
+        mask = _vertex_mask(g, cert["vertices"])
         try:
             return island_free_exhaustive(g, cert["s"], f, cert["p"], active=mask)
         except CapExceeded:
             raise CertificateError("lower certificate unverifiable at cap") from None
     if kind == "col":
-        if not verify_certificate(g, cert["upper"]):
+        upper = cert["upper"]
+        if not verify_certificate(g, upper):
             return False
-        if cert["upper"]["s"] != cert["value"]:
+        if upper["s"] != cert["value"]:
             return False
         lower = cert.get("lower")
         if cert["value"] > 1:
             if lower is None:
                 return False
-            if lower["s"] != cert["value"] - 1:
+            if (lower["s"], lower["f"], lower["p"]) != (cert["value"] - 1, upper["f"], upper["p"]):
                 return False
             return verify_certificate(g, lower)
         return True
     if kind == "island":
-        f = get_parameter(cert["f"])
-        mask = mask_of(cert["vertices"])
+        f = _parameter(cert)
+        mask = _vertex_mask(g, cert["vertices"])
         if not mask:
             return False
         return _is_island(g, mask, g.full_mask(), cert["s"]) and f.eval_mask(g, mask) <= cert["p"]
     if kind == "coloring":
-        f = get_parameter(cert["f"])
+        f = _parameter(cert)
         colors = cert["colors"]
         if len(colors) != g.n:
             return False
@@ -197,12 +213,14 @@ def verify_certificate(g: Graph, cert: dict) -> bool:
                 return False
         return verify_fp_proper(g, tuple(colors), f, cert["p"])
     if kind == "bad_list_assignment":
-        f = get_parameter(cert["f"])
-        lists = [sorted(lst) for lst in cert["lists"]]
+        f = _parameter(cert)
+        lists = cert["lists"]
         if len(lists) != g.n:
             return False
         total = 1
         for lst in lists:
+            if any(type(c) is not int for c in lst) or len(set(lst)) != len(lst):
+                raise CertificateError(f"list {lst!r} is not a set of integer colours")
             if len(lst) < cert["s"]:
                 return False
             total *= len(lst)
@@ -215,6 +233,45 @@ def verify_certificate(g: Graph, cert: dict) -> bool:
     raise CertificateError(f"unknown certificate type {kind!r}")
 
 
+#: the certificate type that each solve command emits
+_CERTIFICATE_TYPES = {"solve col": "col", "solve chi": "coloring",
+                      "solve choosable": "bad_list_assignment", "solve island": "island"}
+
+
+def _certified_claims(cert):
+    """The (claim, value) pairs a certificate vouches for: f, p, s and the
+    solver's answer."""
+    kind = cert["type"]
+    if kind == "col":
+        return [("value", cert["value"]), ("f", cert["upper"]["f"]), ("p", cert["upper"]["p"])]
+    claims = [(key, cert[key]) for key in ("f", "p", "s") if key in cert]
+    if kind == "coloring":
+        claims.append(("value", len(set(cert["colors"]))))  # chi: colours used
+    elif kind == "island":
+        claims.append(("value", True))
+    elif kind == "bad_list_assignment":
+        claims.append(("value", False))
+    return claims
+
+
+def _check_claims(report, cert):
+    """Raise CertificateError if the report claims what its certificate does not."""
+    command = report.get("command")
+    kind = _CERTIFICATE_TYPES.get(command)
+    if kind is not None and cert.get("type") != kind:
+        raise CertificateError(
+            f"a {command!r} report cannot carry a {cert.get('type')!r} certificate"
+        )
+    claims = _certified_claims(cert)
+    for section in ("inputs", "result"):
+        stated = report.get(section) or {}
+        for key, value in claims:
+            if key in stated and (type(stated[key]) is not type(value) or stated[key] != value):
+                raise CertificateError(
+                    f"{section}.{key} = {stated[key]!r} disagrees with the certificate ({value!r})"
+                )
+
+
 def verify_report(report: dict) -> bool:
     """Re-verify a loaded report; a malformed one raises CertificateError."""
     if not isinstance(report, dict):
@@ -223,7 +280,9 @@ def verify_report(report: dict) -> bool:
     if cert is None:
         raise CertificateError("report carries no certificate")
     try:
-        return verify_certificate(_graph_from_report(report), cert)
+        g = _graph_from_report(report)
+        _check_claims(report, cert)
+        return verify_certificate(g, cert)
     except KeyError as exc:
         raise CertificateError(f"malformed report: missing field {exc}") from None
     except (TypeError, AttributeError, IndexError) as exc:

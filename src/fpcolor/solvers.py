@@ -6,8 +6,9 @@ lowest-color-first, so certificates are reproducible bit for bit.
 ``chi_fp`` and ``exists_L_coloring`` only set up calls to the one colouring
 backtracker, ``graph.find_coloring``.  Each solve builds one
 ``graph.ClassOracle`` that evaluates ``f(class) <= p`` once per vertex set:
-``chi_fp`` shares it across every colour count it tries and
-``decide_choosability_fp`` across all of its list systems.
+``chi_fp`` shares it across every colour count it tries, and
+``decide_choosability_fp`` across its whole adversary search, which tracks the
+feasible partial colourings itself instead of colouring each list system.
 
 The island coloring number is computed by iterated island removal rather
 than by its every-induced-subgraph definition; the two agree for hereditary
@@ -229,16 +230,11 @@ def chi_fp(g: Graph, f: Parameter, p: int, cap=CHI_N_CAP):
     raise AssertionError("unreachable: singleton classes always color at s = n")
 
 
-def exists_L_coloring(g: Graph, L: ListAssignment, f: Parameter, p: int, *, allowed=None):
-    """An (f,p)-proper coloring with colors drawn from L, or None.
-
-    ``allowed`` is a ``ClassOracle`` for (g, f, p) to share across calls.
-    """
+def exists_L_coloring(g: Graph, L: ListAssignment, f: Parameter, p: int):
+    """An (f,p)-proper coloring with colors drawn from L, or None."""
     if L.n != g.n:
         raise ValueError("list assignment domain mismatch")
-    if allowed is None:
-        allowed = ClassOracle(g, f.eval_mask, p)
-    return find_coloring(range(g.n), L.lists, allowed, f.hereditary)
+    return find_coloring(range(g.n), L.lists, ClassOracle(g, f.eval_mask, p), f.hereditary)
 
 
 def decide_choosability_fp(
@@ -251,11 +247,29 @@ def decide_choosability_fp(
 ):
     """Whether every s-list assignment admits an (f,p)-proper coloring.
 
-    Adversarial enumeration over list systems from a universe of size s*n,
-    quotiented by color permutations: colors must be introduced in first
-    occurrence order along the fixed vertex order, and fresh colors in a
-    single list are consecutive.  On False the offending assignment is
-    returned as a certificate.
+    A depth-first search for the adversary: lists are assigned one vertex at
+    a time, in a stable order of decreasing degree.  Each vertex tries the
+    lists of the enumeration quotiented by color permutations: colors are
+    introduced in order of first use, the fresh colors of one list are
+    consecutive, and lists with fewer fresh colors come first.  The search
+    carries S, the partial colorings of the listed vertices that can still
+    extend; a coloring is one int, class k in bits k*n .. k*n + n - 1.
+
+    * S empty: the prefix already defeats every coloring, and the remaining
+      vertices take {0..s-1}, the first leaf of the subtree.
+    * The last vertex is decided directly: it is defeated by any s colors
+      that no coloring in S can give it, where all fresh colors are alike.
+    * A state proved to have no bad completion is memoised under a key that
+      forgets what cannot matter below it.  For connected hereditary f each
+      class keeps only its components next to an unlisted vertex (the others
+      can never grow), and a coloring whose classes contain those of another
+      is dropped.  Colors empty in every coloring act as fresh ones and are
+      left out; the rest are put in an order that does not depend on their
+      names.
+
+    Pruning only skips subtrees without a bad leaf, so on False the
+    certificate is the first bad assignment of the enumeration, with lists
+    mapped back to vertex ids.
     """
     if g.n > cap_n:
         raise CapExceeded(
@@ -265,29 +279,114 @@ def decide_choosability_fp(
         raise CapExceeded(
             f"choosability: s={s} exceeds cap {cap_s}", cap_name="choosability-s"
         )
+    if s < 0:
+        raise ValueError(f"choosability: list size s={s} is negative")
     if g.n == 0:
         return True, None
 
+    n, full, hereditary = g.n, g.full_mask(), f.hereditary
+    project = hereditary and f.connected
+    order = sorted(range(n), key=g.degree, reverse=True)
     allowed = ClassOracle(g, f.eval_mask, p)
-    lists = [None] * g.n
+    lists = [None] * n
+    safe = set()
+    touching = [0] * (n + 1)  # depth -> the vertices next to an unlisted one
+    for i in reversed(range(n)):
+        touching[i] = touching[i + 1] | g.adj[order[i]]
 
-    def rec(i, used):
-        if i == g.n:
-            L = ListAssignment(tuple(lists), s)
-            if exists_L_coloring(g, L, f, p, allowed=allowed) is None:
-                return L
+    def classes(c):
+        k = 0
+        while c >> k * n:
+            yield k, c >> k * n & full
+            k += 1
+
+    def live_part(i, mask):
+        """The components of g[mask] next to an unlisted vertex at depth i."""
+        live = frontier = mask & touching[i]
+        while frontier:
+            grow = 0
+            for u in bits(frontier):
+                grow |= g.adj[u]
+            frontier = grow & mask & ~live
+            live |= frontier
+        return live
+
+    def child(i, c, k):
+        """Coloring c with vertex order[i] added to class k, as seen from
+        depth i + 1, or None if that class is not allowed."""
+        v = order[i]
+        if hereditary and not allowed[(c >> k * n & full) | 1 << v]:
             return None
-        for fresh in range(s + 1):
-            fresh_block = frozenset(range(used, used + fresh))
-            for old in combinations(range(used), s - fresh):
-                lists[i] = frozenset(old) | fresh_block
-                bad = rec(i + 1, used + fresh)
-                if bad is not None:
-                    return bad
-        return None
+        grown = c | 1 << (v + k * n)
+        if project:
+            near = g.adj[v] | 1 << v
+            for j, m in classes(grown):
+                if m & near:
+                    grown ^= (m ^ live_part(i + 1, m)) << j * n
+        return grown
 
-    bad = rec(0, 0)
-    return bad is None, bad
+    def usable(c, k, v):
+        if hereditary:
+            return allowed[(c >> k * n & full) | 1 << v]
+        return all(allowed[m] for _, m in classes(c | 1 << (v + k * n)) if m)
+
+    def minimal(colorings):
+        if not project:  # colorings of one vertex set: none contains another
+            return colorings
+        kept = []
+        for c in sorted(colorings, key=int.bit_count):
+            if all(d & ~c for d in kept):
+                kept.append(c)
+        return kept
+
+    def key(i, S):
+        union = 0
+        for c in S:
+            union |= c
+        used = [k for k, m in classes(union) if m]
+        column = {k: sorted(c >> k * n & full for c in S) for k in used}
+        used.sort(key=column.__getitem__)
+        return (i, *sorted(sum((c >> k * n & full) << j * n for j, k in enumerate(used))
+                           for c in S))
+
+    def search(i, used, S):
+        if not S:
+            for v in order[i:]:
+                lists[v] = frozenset(range(s))
+            return True
+        v = order[i]
+        if i == n - 1:
+            unusable = [k for k in range(used) if not any(usable(c, k, v) for c in S)]
+            if len(unusable) >= s or not any(usable(c, used, v) for c in S):
+                old = unusable[:s]
+                lists[v] = frozenset(old) | frozenset(range(used, used + s - len(old)))
+                return True
+            return False
+        memo = key(i, S)
+        if memo in safe:
+            return False
+        children = [[d for c in S if (d := child(i, c, k)) is not None]
+                    for k in range(used + s)]
+        for fresh in range(s + 1):
+            block = tuple(range(used, used + fresh))
+            for old in combinations(range(used), s - fresh):
+                lst = old + block
+                lists[v] = frozenset(lst)
+                nxt = set()
+                for k in lst:
+                    nxt.update(children[k])
+                if search(i + 1, used + fresh, minimal(nxt)):
+                    return True
+        safe.add(memo)
+        return False
+
+    try:
+        defeated = search(0, 0, [0])
+    finally:
+        del search  # it refers to itself: free the memo now, not at a later gc pass
+    if defeated:
+        return False, ListAssignment(tuple(lists), s)
+    return True, None
 
 
 def greedy_island_coloring(g: Graph, L: ListAssignment, f: Parameter, p: int, peel_cert=None):

@@ -4,7 +4,14 @@ Everything here works straight from the definitions, with no pruning and
 no reliance on solver internals, so disagreements indict the solvers.
 """
 
-from fpcolor.graph import bits
+import importlib.util
+import sys
+from itertools import combinations
+from pathlib import Path
+
+from fpcolor.graph import ClassOracle, bits, find_coloring
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 #: one line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES = []
@@ -67,3 +74,44 @@ def has_island_brute(g, s, f, p):
             if f.eval_mask(g, I) <= p:
                 return True
     return False
+
+
+def brute_choosable(g, s, f, p):
+    """(True, None), or (False, lists) for the first s-list assignment with no
+    (f,p)-proper colouring from its lists.
+
+    Enumerates every list system over a universe of s*n colours, quotiented
+    by colour permutations only: along vertex order, colours are introduced
+    in order of first use and the fresh colours of one list are consecutive.
+    Each system is checked with the one colouring backtracker, which the
+    solver tests hold to product enumeration.
+    """
+    allowed = ClassOracle(g, f.eval_mask, p)
+    lists = [None] * g.n
+
+    def rec(i, used):
+        if i == g.n:
+            return find_coloring(range(g.n), lists, allowed, f.hereditary) is None
+        for fresh in range(s + 1):
+            fresh_block = frozenset(range(used, used + fresh))
+            for old in combinations(range(used), s - fresh):
+                lists[i] = frozenset(old) | fresh_block
+                if rec(i + 1, used + fresh):
+                    return True
+        return False
+
+    if rec(0, 0):
+        return False, tuple(lists)
+    return True, None
+
+
+def load_perfbench(name):
+    """Load ``perfbench/<name>.py`` by path; the benchmark is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module

@@ -5,20 +5,10 @@ outside; a rename there would only show up under ``run.py --trace 1``.  This
 smoke test installs and uninstalls the tracer so that it shows up here.
 """
 
-import importlib.util
 import sys
-from pathlib import Path
 
+from conftest import load_perfbench
 from fpcolor import cli, constructions as cons, density, params, solvers  # noqa: F401
-
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def entry_points(spans):
@@ -32,7 +22,7 @@ def entry_points(spans):
 
 
 def test_tracer_install_round_trip(tmp_path):
-    spans = load_spans()
+    spans = load_perfbench("spans")
     before = entry_points(spans)
     tracer = spans.Tracer()
     undo = spans.install(tracer)
@@ -42,11 +32,13 @@ def test_tracer_install_round_trip(tmp_path):
         assert cli.main(["solve", "choosable", "--gen", "cycle:4", "--f", "star",
                          "--p", "1", "--s", "2", "--out", str(tmp_path / "c4.json")]) == 0
         solvers.chi_fp(cons.cycle(5), params.PARAMETERS["mad"], 1)
+        solvers.exists_L_coloring(cons.cycle(4), solvers.list_assignment([{0, 1}] * 4),
+                                  params.PARAMETERS["star"], 1)
     finally:
         spans.uninstall(undo)
     assert tracer.calls["cli.main"] == 1
     assert tracer.calls["solvers.decide_choosability_fp"] == 1
-    assert tracer.calls["solvers.exists_L_coloring"] > 1
+    assert tracer.calls["solvers.exists_L_coloring"] == 1
     assert tracer.calls["solvers.chi_fp"] == 1
     assert tracer.calls["params.eval_mask"] > 0
     assert tracer.calls["density.max_flow"] > 0

@@ -1,6 +1,7 @@
 """Report serialization, certificate re-verification and the CLI surface."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -198,12 +199,93 @@ def test_cli_verify_malformed_reports(tmp_path, capsys):
     del no_islands["certificate"]["upper"]["islands"]
     no_f = json.loads(chi_file.read_text())
     del no_f["certificate"]["f"]
-    for name, payload in (("no_islands", no_islands), ("no_f", no_f), ("list", [1, 2])):
+    negative_vertex = json.loads(col_file.read_text())
+    negative_vertex["certificate"]["upper"]["islands"][0] = [-1]
+    vertex_past_n = json.loads(col_file.read_text())
+    vertex_past_n["certificate"]["lower"]["vertices"].append(10)
+    unknown_f = json.loads(chi_file.read_text())
+    for section in ("inputs", "result", "certificate"):
+        unknown_f[section]["f"] = "nosuch"
+    for name, payload in (("no_islands", no_islands), ("no_f", no_f), ("list", [1, 2]),
+                          ("negative_vertex", negative_vertex),
+                          ("vertex_past_n", vertex_past_n), ("unknown_f", unknown_f)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 1, name
         assert out == "" and err.startswith("verify: ") and err.count("\n") == 1, (name, err)
+
+
+def test_cli_verify_binds_claims_to_certificate(tmp_path, capsys):
+    """A report whose answer, f, p or s disagrees with its certificate fails."""
+    reports = {}
+    for op, gen, extra in (("col", "petersen", ()), ("chi", "cycle:5", ()),
+                           ("choosable", "complete-bipartite:2,4", ("--s", "2")),
+                           ("island", "path:5", ("--s", "2"))):
+        path = tmp_path / f"{op}.json"
+        run_cli(capsys, "solve", op, "--gen", gen, "--f", "star", "--p", "1", *extra,
+                "--out", str(path))
+        assert run_cli(capsys, "verify", str(path))[0] == 0, op
+        reports[op] = json.loads(path.read_text())
+    tampers = [
+        ("col", "result", "value", 99),
+        ("col", "inputs", "f", "max-degree"),
+        ("col", "inputs", "p", 2),
+        ("chi", "result", "value", 2),
+        ("chi", "inputs", "p", 2),
+        ("choosable", "result", "value", True),
+        ("choosable", "inputs", "f", "max-degree"),
+        ("choosable", "inputs", "p", 2),
+        ("choosable", "inputs", "s", 3),
+        ("island", "result", "value", False),
+        ("island", "inputs", "s", 3),
+    ]
+    for op, section, key, value in tampers:
+        report = json.loads(json.dumps(reports[op]))
+        report[section][key] = value
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(report))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 1 and out == "", (op, section, key)
+        assert "disagrees with the certificate" in err, (op, section, key, err)
+    # a claim of choosability cannot come with a certificate of another kind
+    report = json.loads(json.dumps(reports["chi"]))
+    report["command"] = "solve choosable"
+    path = tmp_path / "retyped.json"
+    path.write_text(json.dumps(report))
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 1 and "cannot carry" in err
+    # C4 is 2-choosable: lists must be sets of s integer colours, or a
+    # repeated colour would pass for a bad assignment
+    path = tmp_path / "c4.json"
+    run_cli(capsys, "solve", "choosable", "--gen", "cycle:4", "--f", "star", "--p", "1",
+            "--s", "2", "--out", str(path))
+    c4 = json.loads(path.read_text())
+    c4["result"]["value"] = False
+    for lists in ([[0, 0]] * 4, [[0, 1]] * 3 + [[0, True]], [[0, 1]] * 3 + [[0, 1.5]],
+                  [[0, 1]] * 3 + [["0", "1"]]):
+        c4["certificate"] = {"type": "bad_list_assignment", "s": 2, "f": "star", "p": 1,
+                             "lists": lists}
+        path.write_text(json.dumps(c4))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 1 and out == "" and "integer colours" in err, (lists, err)
+
+
+def test_cli_choosable_cases_that_hung(tmp_path, capsys):
+    """The list-system enumerator ran for minutes on these; the search does not."""
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "solve", "choosable", "--gen", "cycle:8", "--f", "star",
+                           "--p", "1", "--s", "2")
+    assert code == 0 and json.loads(out)["result"]["value"] is True
+    for gen in ("complete-bipartite:3,3", "complete-bipartite:4,4"):
+        path = tmp_path / "choose.json"
+        code, _, _ = run_cli(capsys, "solve", "choosable", "--gen", gen, "--f", "star",
+                             "--p", "1", "--s", "2", "--out", str(path))
+        assert code == 1, gen
+        assert json.loads(path.read_text())["result"]["value"] is False
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0 and "OK" in out, gen
+    assert time.perf_counter() - started < 10
 
 
 def test_cli_choosable_failure_exit_code(tmp_path, capsys):

@@ -1,15 +1,17 @@
 """Exact solvers: islands, peeling, chromatic and choosability decisions."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from conftest import brute_chi, brute_col, has_island_brute
+from conftest import brute_chi, brute_choosable, brute_col, has_island_brute, load_perfbench
 from fpcolor import constructions as cons
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import Graph, bits, mask_of
 from fpcolor.params import PARAMETERS, Parameter
+from fpcolor.report import assignment_to_json, verify_certificate
 from fpcolor.solvers import (
     chi_fp,
     col_fp,
@@ -212,6 +214,67 @@ def test_choosability_decisions():
     assert not ok  # odd cycles are not 2-choosable
     ok, _ = decide_choosability_fp(cons.cycle(5), 3, STAR, 1)
     assert ok
+    ok, cert = decide_choosability_fp(cons.cycle(4), 0, STAR, 1)
+    assert not ok and cert.lists == (frozenset(),) * 4
+    with pytest.raises(ValueError):
+        decide_choosability_fp(cons.cycle(4), -1, STAR, 1)
+
+
+#: vertex count: hereditary, but the sum over components rather than the max
+ORDER = Parameter("order", True, False, True, False, lambda g, mask: mask.bit_count())
+
+
+def test_choosability_matches_brute_enumeration():
+    """The memoised search against the plain list-system enumerator, on every
+    built-in parameter, on the non-connected ORDER and on ISOLATED, which is
+    neither hereditary nor connected."""
+    every_f = (*PARAMETERS.values(), ORDER, ISOLATED)
+    inputs = [(g, f, p, s) for g in random_graph_sample(14, 5, 139)
+              for f in every_f for p in (1, 2) for s in (1, 2)]
+    # the enumerator takes about a second per 2-choosable 6-vertex case
+    inputs += [(g, f, p, 2) for g in random_graph_sample(1, 6, 149, min_n=6)
+               for f in (STAR, ISOLATED) for p in (1, 2)]
+    # three or more old colours per list: only s = 3 reaches them, and the
+    # enumerator takes about a second per 4-vertex graph there
+    inputs += [(g, f, p, 3) for g in random_graph_sample(4, 4, 151, min_n=4)
+               for f in every_f for p in (0, 1, 2)]
+    cases = Counter()
+    false_cases = Counter()
+    for g, f, p, s in inputs:
+        if any(f.eval_mask(g, 1 << v) > p for v in range(g.n)):
+            continue
+        ok, bad = decide_choosability_fp(g, s, f, p)
+        want, want_lists = brute_choosable(g, s, f, p)
+        cases[s] += 1
+        assert ok == want, (g.edges(), f.id, p, s)
+        if ok:
+            assert bad is None
+            continue
+        false_cases[s] += 1
+        assert bad.s == s and all(len(lst) == s for lst in bad.lists)
+        if f.id in PARAMETERS:
+            assert verify_certificate(g, assignment_to_json(bad, f.id, p))
+        else:
+            assert not any(verify_fp_proper(g, c, f, p) for c in product(*map(sorted, bad.lists)))
+        if sorted(range(g.n), key=g.degree, reverse=True) == list(range(g.n)):
+            # the search visits vertices in index order: the same first bad leaf
+            assert bad.lists == want_lists, (g.edges(), f.id, p, s)
+    assert cases[1] + cases[2] > 350 and false_cases[1] + false_cases[2] > 100
+    assert cases[3] == 64 and false_cases[3] > 5, (cases, false_cases)
+
+
+def test_two_choosability_matches_erdos_rubin_taylor():
+    """star with p = 1 is plain 2-choosability; check every graph on at most
+    seven vertices against the Erdos-Rubin-Taylor characterisation."""
+    nx = pytest.importorskip("networkx")
+    ert_two_choosable = load_perfbench("workloads").ert_two_choosable
+    answers = []
+    for h in nx.graph_atlas_g():
+        g = Graph(h.number_of_nodes(), h.edges())
+        ok, _ = decide_choosability_fp(g, 2, STAR, 1)
+        assert ok == ert_two_choosable(g), g.edges()
+        answers.append(ok)
+    assert len(answers) == 1253 and 0 < sum(answers) < len(answers)
 
 
 def test_choosability_monotone_in_s():
