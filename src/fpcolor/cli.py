@@ -7,15 +7,16 @@ Exit codes: 0 pass, 1 fail/counterexample, 2 usage, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from fpcolor import constructions as cons
+from fpcolor import density
 from fpcolor import report as rep
 from fpcolor import suites
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import GraphError, bits, from_edge_list, from_graph6, to_edge_list, to_graph6
 from fpcolor.params import PARAMETERS, get_parameter
-from fpcolor.params import exact_mad_mask
 from fpcolor.solvers import (CHOOSABILITY_N_CAP, CHOOSABILITY_S_CAP, chi_fp, col_fp,
                              decide_choosability_fp, find_island)
 
@@ -77,7 +78,7 @@ def emit(args, report):
         sys.stdout.write(text)
 
 
-def _as_table(report, prefix=""):
+def _as_table(report):
     lines = []
 
     def walk(key, val, depth):
@@ -107,7 +108,7 @@ def cmd_param(args):
     f = get_parameter(args.f)
     with rep.Stopwatch() as sw:
         # mad's value is the floor of its exact value: one max-flow run, not two
-        exact = exact_mad_mask(g, g.full_mask()) if f.id == "mad" else None
+        exact = density.exact_mad(g) if f.id == "mad" else None
         value = f.eval(g) if exact is None else int(exact)
     result = {"parameter": f.id, "value": value, "traits": f.traits()}
     if exact is not None:
@@ -125,7 +126,7 @@ def cmd_solve(args):
         if args.op == "col":
             res = col_fp(g, f, p)
             result = {"op": "col", "f": f.id, "p": p, "value": res.value}
-            cert = rep.col_to_json(res)
+            cert = rep.col_to_json(res, f.id, p)
         elif args.op == "chi":
             value, coloring = chi_fp(g, f, p)
             result = {"op": "chi", "f": f.id, "p": p, "value": value}
@@ -144,7 +145,7 @@ def cmd_solve(args):
             found = find_island(g, args.s, f, p)
             result = {"op": "island", "f": f.id, "p": p, "s": args.s,
                       "value": found is not None}
-            cert = None if found is None else rep.island_to_json(found, f.id, p)
+            cert = None if found is None else rep.island_to_json(g, found, args.s, f, p)
         else:
             raise GraphError(f"unknown solve op {args.op!r}")
     emit(args, rep.make_report(f"solve {args.op}", _inputs(g, f=f.id, p=p, s=args.s),
@@ -261,6 +262,7 @@ def cmd_question(args):
     return EXIT_PASS if not result["violations"] else EXIT_FAIL
 
 
+@functools.cache  # built once: parse_args leaves the parser unchanged
 def build_parser():
     ap = argparse.ArgumentParser(prog="fpcolor", description=__doc__)
     ap.add_argument("--timing", action="store_true",

@@ -15,8 +15,7 @@ from itertools import combinations, product
 
 from fpcolor import density
 from fpcolor.errors import CapExceeded
-from fpcolor.graph import (Graph, average_degree, bits, class_masks, component_sizes, girth,
-                           induced_subgraph, induced_vertices, mask_of)
+from fpcolor.graph import Graph, average_degree, bits, class_masks, component_sizes, girth
 from fpcolor.solvers import ListAssignment
 
 GOOD_VERTICES_EXACT_S_CAP = 3
@@ -333,7 +332,7 @@ def verify_L1_dominates(g, A, B, L0, L1, k, mode="exact", cap=DOMINATION_EXACT_C
     return DominationResult(counterexample is None, False, worst, counterexample, trials)
 
 
-def adversary_pipeline(g, s, k, d, seed, condition_c_mode="auto"):
+def adversary_pipeline(g, s, k, d, seed):
     """Run the B/L0 -> good vertices -> L1 construction and report which of
     the conditions (a), (b), (c) hold for the sampled state.
 
@@ -342,10 +341,8 @@ def adversary_pipeline(g, s, k, d, seed, condition_c_mode="auto"):
     proven to work needs astronomically large minimum degree).
     """
     B, L0 = sample_B_L0(g, s, k, d, seed)
-    if condition_c_mode == "auto":
-        condition_c_mode = "exact" if s <= GOOD_VERTICES_EXACT_S_CAP else "sampled"
-    A, exact_c = good_vertices(g, B, L0, s, k, mode=condition_c_mode,
-                               seed=f"{seed}:goodT")
+    mode = "exact" if s <= GOOD_VERTICES_EXACT_S_CAP else "sampled"
+    A, exact_c = good_vertices(g, B, L0, s, k, mode=mode, seed=f"{seed}:goodT")
     L1 = sample_L1(A, s, f"{seed}:L1")
     n = g.n
     cond_a = A.bit_count() * 2 >= n
@@ -366,21 +363,16 @@ def mono_dense_witness(g, coloring, k):
 
     Per color class (lowest color first) the exact maximum average degree of
     the induced subgraph is computed via the densest-subgraph routine; the
-    first class exceeding k yields the witness, with vertices mapped back to
-    the host graph.
+    first class exceeding k yields the witness, a host vertex mask.
     """
     if len(coloring) != g.n:
         raise ValueError("coloring must be total on V(G)")
     masks = class_masks(coloring)
     for color in sorted(masks):
-        mask = masks[color]
-        sub = induced_subgraph(g, mask)
-        dens, densest = density.max_density(sub)
+        dens, densest = density.max_density(g, masks[color])
         avg = 2 * dens
         if avg > k:
-            back = induced_vertices(mask)
-            host_mask = mask_of(back[i] for i in bits(densest))
-            return MonoWitness(color, host_mask, avg)
+            return MonoWitness(color, densest, avg)
     return None
 
 

@@ -6,13 +6,17 @@ twice the maximum density.  For a rational guess g = a/b the flow network
 scaled by b) has min cut b*m*n - 2*(b|E(S)| - a|S|) minimized over S, so a
 cut below b*m*n exhibits a set strictly denser than the guess.  Iterating
 from the whole graph's density terminates with the exact optimum.
+
+Both entry points take an optional host vertex mask and answer for the
+subgraph it induces; the network's nodes are the mask's vertices in
+increasing order, and witnesses are host masks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from fpcolor.graph import bits
+from fpcolor.graph import bits, mask_of
 
 
 class _Dinic:
@@ -36,30 +40,42 @@ class _Dinic:
         self.level = level
         return level[t] >= 0
 
-    def _dfs(self, u, t, f):
-        if u == t:
-            return f
-        while self.it[u] < len(self.graph[u]):
-            e = self.graph[u][self.it[u]]
-            v, cap, rev = e
-            if cap > 0 and self.level[v] == self.level[u] + 1:
-                d = self._dfs(v, t, min(f, cap))
-                if d > 0:
-                    e[1] -= d
-                    self.graph[v][rev][1] += d
-                    return d
-            self.it[u] += 1
-        return 0
+    def _augment(self, s, t):
+        """Push flow along the first s-t path of the level graph; 0 if none.
+
+        Iterative, so a long path cannot exhaust the call stack.  A vertex's
+        current arc only moves past arcs that lead to a dead end.
+        """
+        graph, level, it = self.graph, self.level, self.it
+        stack, path = [s], []  # vertices from s, and the arcs between them
+        while stack[-1] != t:
+            u = stack[-1]
+            arcs = graph[u]
+            while it[u] < len(arcs):
+                e = arcs[it[u]]
+                if e[1] > 0 and level[e[0]] == level[u] + 1:
+                    stack.append(e[0])
+                    path.append(e)
+                    break
+                it[u] += 1
+            else:  # dead end: retreat, and skip the arc that led here
+                stack.pop()
+                if not path:
+                    return 0
+                path.pop()
+                it[stack[-1]] += 1
+        pushed = min(e[1] for e in path)
+        for e in path:
+            e[1] -= pushed
+            graph[e[0]][e[2]][1] += pushed
+        return pushed
 
     def max_flow(self, s, t):
         flow = 0
         while self._bfs(s, t):
             self.it = [0] * self.n
-            while True:
-                f = self._dfs(s, t, float("inf"))
-                if f == 0:
-                    break
-                flow += f
+            while pushed := self._augment(s, t):
+                flow += pushed
         return flow
 
     def source_side(self, s):
@@ -74,34 +90,28 @@ class _Dinic:
         return seen
 
 
-def _denser_than(g, guess):
-    """A vertex mask with density strictly above ``guess``, or 0."""
-    n = g.n
-    m = g.edge_count()
+def _denser_than(g, mask, guess):
+    """A vertex mask inside ``mask`` with density strictly above ``guess``, or 0."""
+    verts = list(bits(mask))
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    degs = [(g.adj[v] & mask).bit_count() for v in verts]
+    m = sum(degs) // 2
     a, b = guess.numerator, guess.denominator
     net = _Dinic(n + 2)
     source, sink = n, n + 1
-    degs = [g.adj[v].bit_count() for v in range(n)]
-    for v in range(n):
-        net.add_edge(source, v, b * m)
-        net.add_edge(v, sink, b * m + 2 * a - b * degs[v])
-        nb = g.adj[v] >> (v + 1)
-        w = v + 1
-        while nb:
-            if nb & 1:
-                net.add_edge(v, w, b)
-                net.add_edge(w, v, b)
-            nb >>= 1
-            w += 1
+    for i, v in enumerate(verts):
+        net.add_edge(source, i, b * m)
+        net.add_edge(i, sink, b * m + 2 * a - b * degs[i])
+        for w in bits(g.adj[v] & mask):
+            if w > v:
+                net.add_edge(i, index[w], b)
+                net.add_edge(index[w], i, b)
     cut = net.max_flow(source, sink)
     if cut >= b * m * n:
         return 0
     side = net.source_side(source)
-    mask = 0
-    for v in range(n):
-        if side[v]:
-            mask |= 1 << v
-    return mask
+    return mask_of(v for v, inside in zip(verts, side) if inside)
 
 
 def _density(g, mask):
@@ -110,16 +120,19 @@ def _density(g, mask):
     return Fraction(inner, size)
 
 
-def max_density(g):
-    """(density, vertex mask) of an exactly densest nonempty subgraph."""
-    if g.n == 0:
+def max_density(g, mask=None):
+    """(density, host vertex mask) of an exactly densest nonempty subgraph of
+    g[mask], by default of g; (0, 0) when the mask is empty."""
+    if mask is None:
+        mask = g.full_mask()
+    if not mask:
         return Fraction(0), 0
-    if g.edge_count() == 0:
-        return Fraction(0), 1
-    best_mask = g.full_mask()
+    best_mask = mask
     best = _density(g, best_mask)
+    if not best:  # edgeless: its lowest vertex
+        return best, mask & -mask
     while True:
-        improved = _denser_than(g, best)
+        improved = _denser_than(g, mask, best)
         if not improved:
             return best, best_mask
         cand = _density(g, improved)
@@ -128,9 +141,8 @@ def max_density(g):
         best, best_mask = cand, improved
 
 
-def exact_mad(g):
-    """Maximum average degree over all subgraphs, as an exact Fraction."""
-    if g.n == 0:
-        return Fraction(0)
-    dens, _ = max_density(g)
+def exact_mad(g, mask=None):
+    """Maximum average degree over all subgraphs of g[mask], by default of g,
+    as an exact Fraction."""
+    dens, _ = max_density(g, mask)
     return 2 * dens

@@ -1,7 +1,11 @@
 """Immutable simple undirected graphs with bitset adjacency.
 
 Vertices are dense 0-based integers.  A vertex set is a plain int used as a
-bitmask over 0..n-1, which keeps subgraph and island machinery cheap.
+bitmask over 0..n-1, which keeps subgraph and island machinery cheap.  The
+layers above keep to that rule: parameters, densest subgraphs, islands and
+peels take and return masks of the host graph, and only the report layer
+turns them into certificates.  ``induced_subgraph`` builds a relabelled copy
+for callers that want a standalone graph; nothing in the package needs one.
 
 The one colouring backtracker (``find_coloring``) lives here too, below the
 parameter layer, so that ``chi``, list colouring and the chromatic parameter
@@ -235,16 +239,11 @@ def from_graph6(text, name=""):
 # -- subgraphs, components, invariants ----------------------------------------
 
 
-def induced_vertices(mask):
-    """Index map: position i in the induced graph -> vertex in the host."""
-    return tuple(bits(mask))
-
-
 def induced_subgraph(g, mask, name=""):
     """Induced subgraph on the vertices of ``mask`` (relabeled 0..k-1)."""
     if mask & ~g.full_mask():
         raise GraphError("vertex set out of range")
-    verts = induced_vertices(mask)
+    verts = tuple(bits(mask))
     pos = {v: i for i, v in enumerate(verts)}
     edges = []
     for i, v in enumerate(verts):

@@ -59,16 +59,7 @@ def _star(g, mask):
 
 
 def _mad_floor(g, mask):
-    return int(exact_mad_mask(g, mask))
-
-
-def exact_mad_mask(g, mask):
-    """Exact maximum average degree of g[mask] as a Fraction."""
-    from fpcolor.graph import induced_subgraph
-
-    if not mask:
-        return density.exact_mad(Graph(0))
-    return density.exact_mad(induced_subgraph(g, mask))
+    return int(density.exact_mad(g, mask))
 
 
 def _longest_path(g, mask):

@@ -18,9 +18,7 @@ from fpcolor.graph import Graph, bits, from_graph6, mask_of
 from fpcolor.params import get_parameter
 from fpcolor.solvers import (
     ColResult,
-    IslandCertificate,
     ListAssignment,
-    PeelDecomposition,
     island_free_exhaustive,
     verify_fp_proper,
     verify_peel,
@@ -75,30 +73,30 @@ class Stopwatch:
 # -- certificate (de)serialization ------------------------------------------
 
 
-def peel_to_json(decomposition: PeelDecomposition):
+def peel_to_json(islands, s, f_id, p):
     return {
         "type": "peel",
-        "s": decomposition.s,
-        "f": decomposition.f_id,
-        "p": decomposition.p,
-        "islands": [sorted(bits(c.island)) for c in decomposition.islands],
+        "s": s,
+        "f": f_id,
+        "p": p,
+        "islands": [sorted(bits(island)) for island in islands],
     }
 
 
-def col_to_json(res: ColResult):
+def col_to_json(res: ColResult, f_id, p):
     lower = None
     if res.lower_certificate is not None:
         lower = {
             "type": "island_free",
             "s": res.value - 1,
-            "f": res.upper_certificate.f_id,
-            "p": res.upper_certificate.p,
+            "f": f_id,
+            "p": p,
             "vertices": sorted(bits(res.lower_certificate)),
         }
     return {
         "type": "col",
         "value": res.value,
-        "upper": peel_to_json(res.upper_certificate),
+        "upper": peel_to_json(res.islands, res.value, f_id, p),
         "lower": lower,
     }
 
@@ -120,15 +118,23 @@ def assignment_to_json(L: ListAssignment, f_id, p):
     }
 
 
-def island_to_json(cert: IslandCertificate, f_id, p):
+def _island_claims(g, island, f):
+    """What an island certificate states besides its vertices: f on the
+    island, and each vertex's number of neighbours outside it."""
+    return {
+        "f_value": f.eval_mask(g, island),
+        "outside_counts": {str(v): (g.adj[v] & ~island).bit_count() for v in bits(island)},
+    }
+
+
+def island_to_json(g: Graph, island, s, f, p):
     return {
         "type": "island",
-        "s": cert.s,
-        "f": f_id,
+        "s": s,
+        "f": f.id,
         "p": p,
-        "f_value": cert.f_value,
-        "vertices": sorted(bits(cert.island)),
-        "outside_counts": {str(v): c for v, c in sorted(cert.outside_counts.items())},
+        "vertices": sorted(bits(island)),
+        **_island_claims(g, island, f),
     }
 
 
@@ -171,10 +177,8 @@ def verify_certificate(g: Graph, cert: dict) -> bool:
     kind = cert.get("type")
     if kind == "peel":
         f = _parameter(cert)
-        islands = tuple(
-            IslandCertificate(_vertex_mask(g, vs), cert["s"], 0, {}) for vs in cert["islands"]
-        )
-        return verify_peel(g, PeelDecomposition(islands, cert["s"], cert["f"], cert["p"]), f)
+        islands = [_vertex_mask(g, vs) for vs in cert["islands"]]
+        return verify_peel(g, islands, cert["s"], f, cert["p"])
     if kind == "island_free":
         f = _parameter(cert)
         mask = _vertex_mask(g, cert["vertices"])
@@ -201,7 +205,11 @@ def verify_certificate(g: Graph, cert: dict) -> bool:
         mask = _vertex_mask(g, cert["vertices"])
         if not mask:
             return False
-        return _is_island(g, mask, g.full_mask(), cert["s"]) and f.eval_mask(g, mask) <= cert["p"]
+        claims = _island_claims(g, mask, f)
+        stated = {key: cert[key] for key in claims}
+        if json.dumps(stated, sort_keys=True) != json.dumps(claims, sort_keys=True):
+            return False  # strict: a stated count of true is not 1
+        return _is_island(g, mask, g.full_mask(), cert["s"]) and claims["f_value"] <= cert["p"]
     if kind == "coloring":
         f = _parameter(cert)
         colors = cert["colors"]

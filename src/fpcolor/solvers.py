@@ -14,12 +14,14 @@ The island coloring number is computed by iterated island removal rather
 than by its every-induced-subgraph definition; the two agree for hereditary
 parameters (the first peel island meeting an induced subgraph H intersects
 it in an island of H).  The definitional brute force lives in the test
-suite as an oracle.
+suite as an oracle.  Island results are plain vertex masks: ``find_island``
+returns one, ``peel`` and ``ColResult.islands`` hold them in removal order,
+and only the report layer turns them into certificates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from fpcolor.errors import CapExceeded
@@ -57,25 +59,9 @@ def list_assignment(lists, s=None):
 
 
 @dataclass(frozen=True)
-class IslandCertificate:
-    island: int  # vertex bitmask
-    s: int
-    f_value: int
-    outside_counts: dict = field(compare=False)  # vertex -> outside-neighbor count
-
-
-@dataclass(frozen=True)
-class PeelDecomposition:
-    islands: tuple  # IslandCertificate, in removal order
-    s: int
-    f_id: str
-    p: int
-
-
-@dataclass(frozen=True)
 class ColResult:
     value: int
-    upper_certificate: PeelDecomposition
+    islands: tuple  # island masks of the peel at s = value, in removal order
     lower_certificate: int | None  # stuck induced-subgraph mask at s = value-1
 
 
@@ -93,13 +79,8 @@ def _is_island(g, island, active, s):
     return True
 
 
-def _certificate(g, island, active, s, f, p):
-    outside = {v: (g.adj[v] & active & ~island).bit_count() for v in bits(island)}
-    return IslandCertificate(island, s, f.eval_mask(g, island), outside)
-
-
 def find_island(g: Graph, s: int, f: Parameter, p: int, active=None):
-    """A connected s-island of g[active] with f <= p, or None.
+    """The mask of a connected s-island of g[active] with f <= p, or None.
 
     For connected hereditary f, absence of a connected island implies
     absence of any island (each component of an island is an island with
@@ -112,7 +93,7 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None):
     # singleton fast path, lowest vertex first
     for v in bits(active):
         if (g.adj[v] & active).bit_count() < s and f.eval_mask(g, 1 << v) <= p:
-            return _certificate(g, 1 << v, active, s, f, p)
+            return 1 << v
 
     def search(island, ext, banned):
         if _is_island(g, island, active, s):
@@ -140,7 +121,7 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None):
         ext = g.adj[anchor] & active & ~lower
         found = search(abit, ext, lower)
         if found:
-            return _certificate(g, found, active, s, f, p)
+            return found
         lower |= abit
     return None
 
@@ -148,22 +129,23 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None):
 def peel(g: Graph, s: int, f: Parameter, p: int):
     """Repeatedly remove s-islands with f <= p.
 
-    Returns (islands, 0) when the graph peels away completely, or
+    Returns (island masks, 0) when the graph peels away completely, or
     (None, remainder-mask) when an island-free induced subgraph is hit.
     """
     active = g.full_mask()
     islands = []
     while active:
-        cert = find_island(g, s, f, p, active)
-        if cert is None:
+        island = find_island(g, s, f, p, active)
+        if island is None:
             return None, active
-        islands.append(cert)
-        active &= ~cert.island
+        islands.append(island)
+        active &= ~island
     return islands, 0
 
 
 def col_fp(g: Graph, f: Parameter, p: int, cap=COL_N_CAP) -> ColResult:
-    """Exact island coloring number with upper and lower certificates."""
+    """Exact island coloring number, the peel at that value (the upper
+    certificate) and an island-free mask at one less (the lower)."""
     if g.n > cap:
         raise CapExceeded(f"col: n={g.n} exceeds cap {cap}", cap_name="col-n")
     for v in range(g.n):
@@ -176,8 +158,7 @@ def col_fp(g: Graph, f: Parameter, p: int, cap=COL_N_CAP) -> ColResult:
     while True:
         islands, remainder = peel(g, s, f, p)
         if islands is not None:
-            upper = PeelDecomposition(tuple(islands), s, f.id, p)
-            return ColResult(s, upper, lower_cert)
+            return ColResult(s, tuple(islands), lower_cert)
         lower_cert = remainder
         s += 1
 
@@ -389,10 +370,11 @@ def decide_choosability_fp(
     return True, None
 
 
-def greedy_island_coloring(g: Graph, L: ListAssignment, f: Parameter, p: int, peel_cert=None):
+def greedy_island_coloring(g: Graph, L: ListAssignment, f: Parameter, p: int, islands=None):
     """(f,p)-proper L-coloring by reverse-peel greedy extension.
 
-    Requires |L(v)| >= s where s admits a full peel; islands are colored
+    Requires |L(v)| >= s where s admits a full peel (``islands``, the island
+    masks in removal order, or a fresh peel at s = L.s); islands are colored
     latest-peeled first, each vertex taking its lowest list color unused on
     already-colored neighbors outside its own island.
     """
@@ -400,25 +382,24 @@ def greedy_island_coloring(g: Graph, L: ListAssignment, f: Parameter, p: int, pe
         raise ValueError("list assignment domain mismatch")
     if g.n == 0:
         return ()
-    if peel_cert is None:
+    if islands is None:
         islands, _ = peel(g, L.s, f, p)
         if islands is None:
             raise ValueError(
                 f"list size {L.s} is below the island coloring number: peel got stuck"
             )
-        peel_cert = PeelDecomposition(tuple(islands), L.s, f.id, p)
     colors = [-1] * g.n
     colored = 0
-    for cert in reversed(peel_cert.islands):
-        for v in bits(cert.island):
-            forbidden = {colors[w] for w in bits(g.adj[v] & colored & ~cert.island)}
+    for island in reversed(islands):
+        for v in bits(island):
+            forbidden = {colors[w] for w in bits(g.adj[v] & colored & ~island)}
             for c in sorted(L.lists[v]):
                 if c not in forbidden:
                     colors[v] = c
                     break
             else:
                 raise ValueError(f"no available list color at vertex {v}")
-        colored |= cert.island
+        colored |= island
     return tuple(colors)
 
 
@@ -460,12 +441,11 @@ def island_free_exhaustive(g: Graph, s: int, f: Parameter, p: int, active=None,
     return True
 
 
-def verify_peel(g: Graph, decomposition: PeelDecomposition, f: Parameter) -> bool:
-    """Replay a peel decomposition against the island definition only."""
+def verify_peel(g: Graph, islands, s: int, f: Parameter, p: int) -> bool:
+    """Replay a peel decomposition (island masks in removal order) against
+    the island definition only."""
     active = g.full_mask()
-    s, p = decomposition.s, decomposition.p
-    for cert in decomposition.islands:
-        island = cert.island
+    for island in islands:
         if not island or island & ~active:
             return False
         if not _is_island(g, island, active, s):

@@ -81,7 +81,7 @@ def suite_lemma1(graphs=300, max_n=9, assignments=50, seed=0):
                 s = res.value
                 for _ in range(assignments):
                     L = random_list_assignment(g.n, s, s + 3, rng)
-                    coloring = greedy_island_coloring(g, L, f, p, res.upper_certificate)
+                    coloring = greedy_island_coloring(g, L, f, p, res.islands)
                     checks += 1
                     ok = all(coloring[v] in L.lists[v] for v in range(g.n))
                     ok = ok and verify_fp_proper(g, coloring, f, p)
@@ -115,10 +115,10 @@ def suite_nofan(i_values=(2, 3), trials=10000, seed=0):
     failures = []
     for i in i_values:
         g = cons.fan_join(i)
-        cert = find_island(g, i, FAN, i)
-        island_free = cert is None
+        island = find_island(g, i, FAN, i)
+        island_free = island is None
         if not island_free:
-            failures.append(_counterexample(g, i=i, island=sorted(bits(cert.island))))
+            failures.append(_counterexample(g, i=i, island=sorted(bits(island))))
         entry = {"island_free": island_free, "col_lower_bound": i + 1}
         if i == 2:
             ok, bad = decide_choosability_fp(g, 2, FAN, 2)
@@ -279,16 +279,16 @@ def suite_mindeg(graphs=100, seed=0, k_values=(1, 2)):
     results = {"named": [], "random_applicable": 0}
     for g, k in named:
         rep = cons.girth_component_bound(g, k)
-        results["named"].append({"graph": g.name, **_jsonable_bound(rep)})
+        results["named"].append({"graph": g.name, **rep})
         if not rep.get("precondition_ok") or not rep.get("holds"):
-            failures.append(_counterexample(g, k=k, report=_jsonable_bound(rep)))
+            failures.append(_counterexample(g, k=k, report=rep))
     for g in random_graph_sample(graphs, 14, seed):
         for k in k_values:
             rep = cons.girth_component_bound(g, k)
             if rep.get("precondition_ok"):
                 results["random_applicable"] += 1
                 if not rep["holds"]:
-                    failures.append(_counterexample(g, k=k, report=_jsonable_bound(rep)))
+                    failures.append(_counterexample(g, k=k, report=rep))
     return {
         "suite": "mindeg",
         "graphs": graphs,
@@ -297,13 +297,6 @@ def suite_mindeg(graphs=100, seed=0, k_values=(1, 2)):
         "failures": failures,
         "passed": not failures,
     }
-
-
-def _jsonable_bound(rep):
-    out = dict(rep)
-    if out.get("girth") == float("inf"):
-        out["girth"] = "inf"
-    return out
 
 
 def suite_estim(smax=12):

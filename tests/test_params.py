@@ -10,7 +10,7 @@ from fpcolor import constructions as cons
 from fpcolor.density import exact_mad, max_density
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import Graph, average_degree, bits, components, induced_subgraph, mask_of
-from fpcolor.params import PARAMETERS, exact_mad_mask, get_parameter
+from fpcolor.params import PARAMETERS, get_parameter
 
 MAX_DEGREE = PARAMETERS["max-degree"]
 STAR = PARAMETERS["star"]
@@ -154,7 +154,37 @@ def test_mad_known_values():
     assert exact_mad(cons.path(4)) == Fraction(3, 2)
     assert exact_mad(cons.cycle(5)) == 2
     assert exact_mad(cons.petersen()) == 3
-    assert exact_mad_mask(cons.complete(5), mask_of([0, 1, 2])) == 2
+    assert exact_mad(cons.complete(5), mask_of([0, 1, 2])) == 2
+
+
+def test_density_of_a_mask_matches_its_induced_copy():
+    """On a host mask, max_density and exact_mad answer as on the relabelled
+    induced subgraph, with the witness mapped back to host vertices."""
+    rng = random.Random(37)
+    for g in sample_graphs(30, 10, 37, min_n=1):
+        independent = 0
+        for v in range(g.n):
+            if not g.adj[v] & independent:
+                independent |= 1 << v
+        for mask in (0, independent, g.full_mask(), *(rng.getrandbits(g.n) for _ in range(3))):
+            sub = induced_subgraph(g, mask)
+            host = list(bits(mask))
+            dens, witness = max_density(sub)
+            assert max_density(g, mask) == (dens, mask_of(host[i] for i in bits(witness)))
+            assert exact_mad(g, mask) == exact_mad(sub)
+        assert max_density(g, independent) == (0, 1)
+
+
+def test_mad_of_a_long_path_needs_no_deep_recursion():
+    """The augmenting-path search is iterative: P600 has a 600-arc path."""
+    import sys
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        assert exact_mad(cons.path(600)) == Fraction(599, 300)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_fan_against_naive_oracle():

@@ -23,7 +23,8 @@ from fpcolor.report import (
     verify_report,
 )
 from fpcolor.solvers import chi_fp, col_fp, decide_choosability_fp, find_island
-from fpcolor.graph import to_graph6
+from fpcolor.graph import bits, to_graph6
+from fpcolor.suites import random_graph_sample
 
 STAR = PARAMETERS["star"]
 
@@ -54,7 +55,7 @@ def test_make_report_timing_opt_in():
 def test_col_certificate_round_trip():
     g = cons.petersen()
     res = col_fp(g, STAR, 1)
-    cert = col_to_json(res)
+    cert = col_to_json(res, "star", 1)
     assert verify_certificate(g, cert)
     # tampering with an island must be caught
     bad = json.loads(json.dumps(cert))
@@ -68,7 +69,7 @@ def test_col_certificate_round_trip():
 def test_peel_certificate():
     g = cons.cycle(6)
     res = col_fp(g, STAR, 2)
-    assert verify_certificate(g, peel_to_json(res.upper_certificate))
+    assert verify_certificate(g, peel_to_json(res.islands, res.value, "star", 2))
 
 
 def test_coloring_certificate():
@@ -98,12 +99,22 @@ def test_bad_assignment_certificate():
 
 def test_island_certificate():
     g = cons.path(5)
-    cert = find_island(g, 2, STAR, 1)
-    assert cert is not None
-    assert verify_certificate(g, island_to_json(cert, "star", 1))
-    fake = island_to_json(cert, "star", 1)
+    island = find_island(g, 2, STAR, 1)
+    assert island is not None
+    assert verify_certificate(g, island_to_json(g, island, 2, STAR, 1))
+    fake = island_to_json(g, island, 2, STAR, 1)
     fake["vertices"] = [2]  # an interior path vertex has 2 outside neighbors
     assert not verify_certificate(g, fake)
+    # f_value and outside_counts are derived from the definitions
+    for g in random_graph_sample(30, 7, 101):
+        for f, p in ((STAR, 2), (PARAMETERS["max-degree"], 1), (PARAMETERS["fan"], 2)):
+            island = find_island(g, 3, f, p)
+            if island is not None:
+                cert = island_to_json(g, island, 3, f, p)
+                assert cert["f_value"] == f.eval_mask(g, island) <= p
+                assert cert["outside_counts"] == {
+                    str(v): (g.adj[v] & ~island).bit_count() for v in bits(island)}
+                assert verify_certificate(g, cert)
 
 
 def test_verify_report_and_tampering():
@@ -113,7 +124,7 @@ def test_verify_report_and_tampering():
         "solve col",
         {"graph6": to_graph6(g), "graph_hash": g.content_hash()},
         {"value": res.value},
-        col_to_json(res),
+        col_to_json(res, "star", 1),
     )
     assert verify_report(report)
     tampered = json.loads(canonical_json(report))
@@ -133,6 +144,25 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_builds_its_parser_once(capsys, monkeypatch):
+    import argparse
+
+    run_cli(capsys, "generate", "--gen", "path:3")
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (("generate", "--gen", "path:3"), ("param", "--gen", "cycle:5", "--f", "star"),
+                 ("solve", "col", "--gen", "path:4", "--f", "star"),
+                 ("lemma", "estim", "--smax", "2"), ("generate", "--gen", "cycle:3")):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert built == []
 
 
 def test_cli_param(capsys):
@@ -248,6 +278,15 @@ def test_cli_verify_binds_claims_to_certificate(tmp_path, capsys):
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 1 and out == "", (op, section, key)
         assert "disagrees with the certificate" in err, (op, section, key, err)
+    # an island certificate's f value and outside counts are claims too
+    for key, value in (("f_value", 99), ("outside_counts", {"0": 7, "3": 1}),
+                       ("outside_counts", {"0": True})):
+        report = json.loads(json.dumps(reports["island"]))
+        report["certificate"][key] = value
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(report))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 1 and "INVALID" in out, (key, value)
     # a claim of choosability cannot come with a certificate of another kind
     report = json.loads(json.dumps(reports["chi"]))
     report["command"] = "solve choosable"

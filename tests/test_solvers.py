@@ -57,13 +57,11 @@ def test_find_island_matches_brute_existence():
                 got = find_island(g, s, f, p)
                 assert (got is not None) == has_island_brute(g, s, f, p)
                 if got is not None:
-                    # certificate is checkable from the definition
-                    assert got.island
-                    assert f.eval_mask(g, got.island) <= p
-                    for v in bits(got.island):
-                        outside = (g.adj[v] & ~got.island).bit_count()
-                        assert outside < s
-                        assert got.outside_counts[v] == outside
+                    # the island mask is checkable from the definition
+                    assert got
+                    assert f.eval_mask(g, got) <= p
+                    for v in bits(got):
+                        assert (g.adj[v] & ~got).bit_count() < s
 
 
 def test_peel_and_verify_peel():
@@ -71,12 +69,9 @@ def test_peel_and_verify_peel():
     islands, rest = peel(g, 4, STAR, 1)
     assert rest == 0 and islands is not None
     res = col_fp(g, STAR, 1)
-    assert verify_peel(g, res.upper_certificate, STAR)
+    assert verify_peel(g, res.islands, res.value, STAR, 1)
     # corrupting the decomposition must be caught
-    bad = res.upper_certificate.islands[:-1]
-    from fpcolor.solvers import PeelDecomposition
-
-    assert not verify_peel(g, PeelDecomposition(bad, res.value, "star", 1), STAR)
+    assert not verify_peel(g, res.islands[:-1], res.value, STAR, 1)
 
 
 def test_col_known_values():
@@ -102,7 +97,7 @@ def test_col_matches_degeneracy_and_brute():
 def test_col_certificates():
     for g in random_graph_sample(20, 8, 107, min_n=1):
         res = col_fp(g, STAR, 1)
-        assert verify_peel(g, res.upper_certificate, STAR)
+        assert verify_peel(g, res.islands, res.value, STAR, 1)
         if res.value > 1:
             assert res.lower_certificate
             assert island_free_exhaustive(
