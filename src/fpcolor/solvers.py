@@ -79,21 +79,81 @@ def _is_island(g, island, active, s):
     return True
 
 
-def find_island(g: Graph, s: int, f: Parameter, p: int, active=None):
+def star_cutoff(g: Graph, f: Parameter, p: int) -> int:
+    """The least k with f(K_{1,k}) > p, for ``excluded_core``.
+
+    Only hereditary monotone f get a cutoff below max degree + 1, which no
+    vertex reaches.  Stars are tried with k = 0, 1, ... and the scan stops
+    early once f stops growing on them (mad, fan and chromatic are at most
+    2 on every star), so a solve pays a few evaluations on stars of at most
+    p + 2 vertices; a cutoff that is too high only rules out fewer vertices.
+    """
+    top = g.max_degree()
+    if not (f.hereditary and f.monotone):
+        return top + 1
+    star = Graph(top + 1, [(0, leaf) for leaf in range(1, top + 1)])
+    last = None
+    for k in range(top + 1):
+        value = f.eval_mask(star, (2 << k) - 1)
+        if value > p:
+            return k
+        if value == last:
+            break
+        last = value
+    return top + 1
+
+
+def excluded_core(g: Graph, s: int, active, cutoff: int):
+    """The vertices of g[active] that lie in no s-island with f <= p, where
+    ``cutoff`` is ``star_cutoff(g, f, p)``.
+
+    A vertex v of an island X has fewer than s neighbours outside X, so at
+    least k = deg(v) - s + 1 inside it: g[X] contains K_{1,k}, and for
+    hereditary monotone f, f(X) >= f(K_{1,k}).  So v is excluded once
+    max(k, 0) >= cutoff, and so is every vertex with s excluded neighbours,
+    which always lie outside X; the rule is applied to a fixed point.
+    """
+    core = 0
+    while True:
+        grown = 0
+        for v in bits(active & ~core):
+            if (max((g.adj[v] & active).bit_count() - s + 1, 0) >= cutoff
+                    or (g.adj[v] & core).bit_count() >= s):
+                grown |= 1 << v
+        if not grown:
+            return core
+        core |= grown
+
+
+def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None):
     """The mask of a connected s-island of g[active] with f <= p, or None.
 
     For connected hereditary f, absence of a connected island implies
     absence of any island (each component of an island is an island with
     the same defect bound), so None means no island at all.
+
+    The vertices of ``excluded_core`` start out banned and are never
+    anchors.  None lies in an island: an island vertex has at least
+    deg - s + 1 neighbours inside it, so f is at least its value on that
+    star, which ``cutoff`` (``star_cutoff(g, f, p)`` unless given) bounds.
+    Only subtrees holding no island are skipped, so the island found is the
+    one the unpruned depth-first search finds first.
     """
     if active is None:
         active = g.full_mask()
     if not active:
         return None
-    # singleton fast path, lowest vertex first
-    for v in bits(active):
-        if (g.adj[v] & active).bit_count() < s and f.eval_mask(g, 1 << v) <= p:
-            return 1 << v
+    if cutoff is None:
+        cutoff = star_cutoff(g, f, p)
+    lower = excluded_core(g, s, active, cutoff)
+    # singleton fast path, lowest vertex first; a singleton island with
+    # f > p is no search root either
+    rejected = 0
+    for v in bits(active & ~lower):
+        if (g.adj[v] & active).bit_count() < s:
+            if f.eval_mask(g, 1 << v) <= p:
+                return 1 << v
+            rejected |= 1 << v
 
     def search(island, ext, banned):
         if _is_island(g, island, active, s):
@@ -115,27 +175,28 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None):
             banned |= u
         return 0
 
-    lower = 0
-    for anchor in bits(active):
+    for anchor in bits(active & ~lower):
         abit = 1 << anchor
-        ext = g.adj[anchor] & active & ~lower
-        found = search(abit, ext, lower)
-        if found:
-            return found
+        if not abit & rejected:
+            found = search(abit, g.adj[anchor] & active & ~lower, lower)
+            if found:
+                return found
         lower |= abit
     return None
 
 
-def peel(g: Graph, s: int, f: Parameter, p: int):
+def peel(g: Graph, s: int, f: Parameter, p: int, cutoff=None):
     """Repeatedly remove s-islands with f <= p.
 
     Returns (island masks, 0) when the graph peels away completely, or
     (None, remainder-mask) when an island-free induced subgraph is hit.
     """
+    if cutoff is None:
+        cutoff = star_cutoff(g, f, p)
     active = g.full_mask()
     islands = []
     while active:
-        island = find_island(g, s, f, p, active)
+        island = find_island(g, s, f, p, active, cutoff)
         if island is None:
             return None, active
         islands.append(island)
@@ -153,10 +214,11 @@ def col_fp(g: Graph, f: Parameter, p: int, cap=COL_N_CAP) -> ColResult:
             raise ValueError(
                 f"col undefined: f(single vertex {v}) > {p}, vertex can join no island"
             )
+    cutoff = star_cutoff(g, f, p)
     lower_cert = None
     s = 1
     while True:
-        islands, remainder = peel(g, s, f, p)
+        islands, remainder = peel(g, s, f, p, cutoff)
         if islands is not None:
             return ColResult(s, tuple(islands), lower_cert)
         lower_cert = remainder
@@ -417,12 +479,16 @@ def island_free_exhaustive(g: Graph, s: int, f: Parameter, p: int, active=None,
                            cap=EXHAUSTIVE_ISLAND_CAP):
     """Definition-level check that g[active] contains NO s-island with f <= p.
 
-    Enumerates all nonempty vertex subsets (not only connected ones); used
-    to re-verify lower certificates without trusting solver internals.
+    Enumerates all nonempty subsets (not only connected ones) of the
+    vertices left by ``excluded_core``, which lie in no island: a vertex of
+    an island has at least deg - s + 1 neighbours in it, so f is at least
+    its value on that star.  The cap counts the vertices left, so a
+    certificate the core covers is accepted at any size.  Used to re-verify
+    lower certificates without trusting solver internals.
     """
     if active is None:
         active = g.full_mask()
-    verts = list(bits(active))
+    verts = list(bits(active & ~excluded_core(g, s, active, star_cutoff(g, f, p))))
     k = len(verts)
     if k > cap:
         raise CapExceeded(

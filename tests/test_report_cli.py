@@ -346,6 +346,29 @@ def test_cli_island(capsys):
     assert rep["certificate"]["vertices"] == [0]
 
 
+def test_cli_island_root_must_satisfy_f(capsys):
+    """Every vertex of K3 is a 3-island on its own, but star is 1 > 0 there."""
+    code, out, _ = run_cli(capsys, "solve", "island", "--gen", "complete:3",
+                           "--f", "star", "--p", "0", "--s", "3")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["result"]["value"] is False and rep["certificate"] is None
+
+
+def test_cli_verifies_large_lower_certificate_by_excluded_core(tmp_path, capsys):
+    """A lower certificate of 36 vertices, past the exhaustive cap of 16,
+    verifies because the excluded core covers it."""
+    out_file = tmp_path / "col.json"
+    code, _, _ = run_cli(capsys, "solve", "col", "--gen", "gnp:40,0.3,1",
+                         "--f", "max-degree", "--p", "2", "--out", str(out_file))
+    assert code == 0
+    rep = json.loads(out_file.read_text())
+    assert rep["result"]["value"] == 8
+    assert len(rep["certificate"]["lower"]["vertices"]) == 36
+    code, out, _ = run_cli(capsys, "verify", str(out_file))
+    assert code == 0 and "OK" in out
+
+
 def test_cli_usage_errors(capsys):
     assert run_cli(capsys, "param", "--gen", "nosuch:3", "--f", "star")[0] == 2
     assert run_cli(capsys, "param", "--f", "star")[0] == 2

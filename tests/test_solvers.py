@@ -1,5 +1,7 @@
 """Exact solvers: islands, peeling, chromatic and choosability decisions."""
 
+import dataclasses
+import functools
 import random
 from collections import Counter
 from itertools import product
@@ -18,12 +20,14 @@ from fpcolor.solvers import (
     compose_bound,
     decide_choosability_fp,
     degeneracy_col,
+    excluded_core,
     exists_L_coloring,
     find_island,
     greedy_island_coloring,
     island_free_exhaustive,
     list_assignment,
     peel,
+    star_cutoff,
     verify_fp_proper,
     verify_peel,
 )
@@ -32,6 +36,7 @@ from fpcolor.suites import choosability_value, random_graph_sample, random_list_
 STAR = PARAMETERS["star"]
 MAX_DEGREE = PARAMETERS["max-degree"]
 FAN = PARAMETERS["fan"]
+CHROMATIC = PARAMETERS["chromatic"]
 
 
 def test_list_assignment_validation():
@@ -51,11 +56,16 @@ def test_verify_fp_proper():
 
 
 def test_find_island_matches_brute_existence():
+    pairs = ((STAR, 0), (STAR, 1), (STAR, 2), (MAX_DEGREE, 0), (MAX_DEGREE, 1),
+             (FAN, 0), (FAN, 2), (CHROMATIC, 0))
     for g in random_graph_sample(40, 7, 101):
-        for f, p in ((STAR, 1), (STAR, 2), (MAX_DEGREE, 1), (FAN, 2)):
+        for f, p in pairs:
             for s in (1, 2, 3):
                 got = find_island(g, s, f, p)
                 assert (got is not None) == has_island_brute(g, s, f, p)
+                # a cutoff no vertex reaches turns the excluded core off: the
+                # search alone finds the same island
+                assert find_island(g, s, f, p, cutoff=g.n) == got
                 if got is not None:
                     # the island mask is checkable from the definition
                     assert got
@@ -122,8 +132,14 @@ def test_caps_raise():
         decide_choosability_fp(cons.random_gnp(12, 0.5, 5), 2, STAR, 1)
     with pytest.raises(CapExceeded):
         decide_choosability_fp(cons.cycle(5), 4, STAR, 1)
+    # the excluded core covers this graph, so no subset is enumerated; with
+    # mad or fan it rules out nothing and all 20 vertices meet the cap of 16
+    dense = cons.random_gnp(20, 0.5, 5)
+    assert island_free_exhaustive(dense, 2, STAR, 1) is True
     with pytest.raises(CapExceeded):
-        island_free_exhaustive(cons.random_gnp(20, 0.5, 5), 2, STAR, 1)
+        island_free_exhaustive(dense, 2, PARAMETERS["mad"], 2)
+    with pytest.raises(CapExceeded):
+        island_free_exhaustive(dense, 2, FAN, 3)
 
 
 def test_chi_matches_chromatic_and_brute():
@@ -332,3 +348,61 @@ def test_island_free_exhaustive_on_masks():
     assert island_free_exhaustive(g, 1, STAR, 1)
     assert not island_free_exhaustive(g, 1, STAR, 4)
     assert island_free_exhaustive(g, 2, STAR, 1, active=mask_of([0, 1, 2]))
+
+
+def _is_island_of(g, island, active, s):
+    return all((g.adj[v] & active & ~island).bit_count() < s for v in bits(island))
+
+
+def test_excluded_core_against_brute_force():
+    """No excluded vertex lies in an island, and the searches that use the
+    core agree with the definitional oracles, for every built-in parameter
+    and the non-connected ORDER."""
+    rng = random.Random(157)
+    excluded = covered = 0
+    for g in random_graph_sample(30, 8, 157, min_n=4):
+        full = g.full_mask()
+        for f in (*PARAMETERS.values(), ORDER):
+            # the oracles re-evaluate the same masks many times
+            f = dataclasses.replace(f, evaluator=functools.cache(f.evaluator))
+            for p in range(4):
+                cutoff = star_cutoff(g, f, p)
+                good = [m for m in range(1, full + 1) if f.eval_mask(g, m) <= p]
+                for s in (1, 2, 3):
+                    for active in (full, rng.getrandbits(g.n)):
+                        core = excluded_core(g, s, active, cutoff)
+                        islands = [m for m in good
+                                   if not m & ~active and _is_island_of(g, m, active, s)]
+                        assert not any(m & core for m in islands), (g.edges(), f.id, p, s)
+                        assert island_free_exhaustive(g, s, f, p, active) == (not islands)
+                        excluded += core.bit_count()
+                        covered += bool(active) and core == active
+                    got = find_island(g, s, f, p)
+                    assert (got is not None) == has_island_brute(g, s, f, p)
+                if all(f.eval_mask(g, 1 << v) <= p for v in range(g.n)):
+                    assert col_fp(g, f, p).value == brute_col(g, f, p), (g.edges(), f.id, p)
+    assert excluded > 3000 and covered > 500, (excluded, covered)
+
+
+def test_non_hereditary_parameter_excludes_nothing():
+    for g in random_graph_sample(20, 8, 163):
+        for p in range(4):
+            cutoff = star_cutoff(g, ISOLATED, p)
+            assert cutoff == g.max_degree() + 1
+            for s in (1, 2, 3):
+                assert excluded_core(g, s, g.full_mask(), cutoff) == 0
+
+
+def test_col_work_count_with_excluded_core():
+    """The core rules out all but a few vertices of each peel step: the
+    unpruned search evaluated max-degree 486,331 times here."""
+    calls = []
+
+    def counted(g, mask):
+        calls.append(mask)
+        return MAX_DEGREE.evaluator(g, mask)
+
+    f = dataclasses.replace(MAX_DEGREE, evaluator=counted)
+    res = col_fp(cons.random_gnp(40, 0.3, 1), f, 2)
+    assert res.value == 8 and res.lower_certificate.bit_count() == 36
+    assert len(calls) <= 1000
