@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import time
 
 from fpcolor import constructions as cons
 from fpcolor import density
@@ -68,6 +69,8 @@ def add_graph_args(sub):
 
 
 def emit(args, report):
+    if args.timing:
+        report["elapsed_ms"] = int((time.monotonic() - args.started) * 1000)
     text = rep.canonical_json(report)
     if getattr(args, "fmt", "json") == "table":
         text = _as_table(report)
@@ -106,15 +109,13 @@ def _inputs(g, **extra):
 def cmd_param(args):
     g = load_graph(args)
     f = get_parameter(args.f)
-    with rep.Stopwatch() as sw:
-        # mad's value is the floor of its exact value: one max-flow run, not two
-        exact = density.exact_mad(g) if f.id == "mad" else None
-        value = f.eval(g) if exact is None else int(exact)
+    # mad's value is the floor of its exact value: one max-flow run, not two
+    exact = density.exact_mad(g) if f.id == "mad" else None
+    value = f.eval(g) if exact is None else int(exact)
     result = {"parameter": f.id, "value": value, "traits": f.traits()}
     if exact is not None:
         result["exact_mad"] = exact
-    emit(args, rep.make_report("param", _inputs(g, f=f.id), result,
-                               elapsed_ms=sw.elapsed_ms if args.timing else None))
+    emit(args, rep.make_report("param", _inputs(g, f=f.id), result))
     return EXIT_PASS
 
 
@@ -122,35 +123,33 @@ def cmd_solve(args):
     g = load_graph(args)
     f = get_parameter(args.f)
     p = args.p
-    with rep.Stopwatch() as sw:
-        if args.op == "col":
-            res = col_fp(g, f, p)
-            result = {"op": "col", "f": f.id, "p": p, "value": res.value}
-            cert = rep.col_to_json(res, f.id, p)
-        elif args.op == "chi":
-            value, coloring = chi_fp(g, f, p)
-            result = {"op": "chi", "f": f.id, "p": p, "value": value}
-            cert = rep.coloring_to_json(coloring, f.id, p)
-        elif args.op == "choosable":
-            if args.s is None:
-                raise GraphError("choosable requires --s")
-            ok, bad = decide_choosability_fp(g, args.s, f, p,
-                                             cap_n=args.cap_choosability_n,
-                                             cap_s=args.cap_choosability_s)
-            result = {"op": "choosable", "f": f.id, "p": p, "s": args.s, "value": ok}
-            cert = None if ok else rep.assignment_to_json(bad, f.id, p)
-        elif args.op == "island":
-            if args.s is None:
-                raise GraphError("island requires --s")
-            found = find_island(g, args.s, f, p)
-            result = {"op": "island", "f": f.id, "p": p, "s": args.s,
-                      "value": found is not None}
-            cert = None if found is None else rep.island_to_json(g, found, args.s, f, p)
-        else:
-            raise GraphError(f"unknown solve op {args.op!r}")
+    if args.op == "col":
+        res = col_fp(g, f, p)
+        result = {"op": "col", "f": f.id, "p": p, "value": res.value}
+        cert = rep.col_to_json(res, f.id, p)
+    elif args.op == "chi":
+        value, coloring = chi_fp(g, f, p)
+        result = {"op": "chi", "f": f.id, "p": p, "value": value}
+        cert = rep.coloring_to_json(coloring, f.id, p)
+    elif args.op == "choosable":
+        if args.s is None:
+            raise GraphError("choosable requires --s")
+        ok, bad = decide_choosability_fp(g, args.s, f, p,
+                                         cap_n=args.cap_choosability_n,
+                                         cap_s=args.cap_choosability_s)
+        result = {"op": "choosable", "f": f.id, "p": p, "s": args.s, "value": ok}
+        cert = None if ok else rep.assignment_to_json(bad, f.id, p)
+    elif args.op == "island":
+        if args.s is None:
+            raise GraphError("island requires --s")
+        found = find_island(g, args.s, f, p)
+        result = {"op": "island", "f": f.id, "p": p, "s": args.s,
+                  "value": found is not None}
+        cert = None if found is None else rep.island_to_json(g, found, args.s, f, p)
+    else:
+        raise GraphError(f"unknown solve op {args.op!r}")
     emit(args, rep.make_report(f"solve {args.op}", _inputs(g, f=f.id, p=p, s=args.s),
-                               result, cert,
-                               elapsed_ms=sw.elapsed_ms if args.timing else None))
+                               result, cert))
     if args.op == "choosable" and not result["value"]:
         return EXIT_FAIL
     return EXIT_PASS
@@ -186,10 +185,8 @@ def cmd_adversary(args):
     }
     status = "exact" if state.condition_report["c"] is True else "estimate"
     if args.check_domination:
-        mode = args.check_domination
         dom = cons.verify_L1_dominates(g, state.A, state.B, state.L0, state.L1,
-                                       args.k, mode=mode, trials=args.trials,
-                                       seed=f"{args.seed}:dom")
+                                       args.k, trials=args.trials, seed=f"{args.seed}:dom")
         result["domination"] = {
             "ok": dom.ok,
             "exact": dom.exact,
@@ -266,7 +263,8 @@ def cmd_question(args):
 def build_parser():
     ap = argparse.ArgumentParser(prog="fpcolor", description=__doc__)
     ap.add_argument("--timing", action="store_true",
-                    help="include elapsed_ms in reports (breaks byte-identity)")
+                    help="include elapsed_ms, the whole run's wall time, in reports "
+                         "(breaks byte-identity)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(sp):
@@ -301,7 +299,9 @@ def build_parser():
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--d", type=int, default=64)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--check-domination", choices=("exact", "sampled"))
+    sp.add_argument("--check-domination", action="store_true",
+                    help="check condition (c): every L0-colouring of B if there are at most "
+                         f"{cons.DOMINATION_EXACT_CAP}, else --trials random ones")
     sp.add_argument("--trials", type=int, default=200)
     sp.set_defaults(fn=cmd_adversary)
 
@@ -342,8 +342,9 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    started = time.monotonic()
+    args = build_parser().parse_args(argv)
+    args.started = started
     try:
         return args.fn(args)
     except CapExceeded as exc:

@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from fpcolor import density
-from fpcolor.errors import CapExceeded
 from fpcolor.graph import Graph, average_degree, bits, class_masks, component_sizes, girth
 from fpcolor.solvers import ListAssignment
 
@@ -97,6 +96,8 @@ def random_gnp(n, prob, seed, name=""):
 
 def random_bipartite(n, d, seed):
     """G(n,n,d/n): parts 0..n-1 and n..2n-1, each cross pair kept with prob d/n."""
+    if n < 1:
+        raise ValueError("random_bipartite needs n >= 1")
     prob = Fraction(d) / n if not isinstance(d, float) else d / n
     if prob < 0 or prob > 1:
         raise ValueError(f"edge probability d/n = {prob} out of [0,1]")
@@ -186,10 +187,6 @@ def estim_ratio(s):
 
 @dataclass
 class AdversaryState:
-    g: Graph
-    s: int
-    k: int
-    d: int
     B: int  # vertex bitmask
     L0: dict  # vertex -> frozenset, on B
     A: int  # vertex bitmask of good vertices
@@ -221,28 +218,23 @@ def sample_B_L0(g, s, k, d, seed):
     return B, L0
 
 
-def good_vertices(g, B, L0, s, k, mode="exact", trials=200, seed=0):
+def good_vertices(g, B, L0, s, k, trials=200, seed=0):
     """Vertices outside B with, for every half-size color subset T, at least
     k*s^2 B-neighbors whose lists lie inside T.
 
-    Returns (mask, exact_flag); sampled mode checks random subsets T only,
-    so its result is a superset candidate.
+    Returns (mask, exact_flag).  Every subset T is checked iff
+    s <= GOOD_VERTICES_EXACT_S_CAP; past it ``trials`` random subsets are, so
+    the result is a superset candidate.
     """
     universe = range(s * s)
     half = (s * s + 1) // 2
     need = k * s * s
-    if mode == "exact":
-        if s > GOOD_VERTICES_EXACT_S_CAP:
-            raise CapExceeded(
-                f"good_vertices exact: s={s} exceeds cap {GOOD_VERTICES_EXACT_S_CAP}",
-                cap_name="good-vertices-s",
-            )
+    exact = s <= GOOD_VERTICES_EXACT_S_CAP
+    if exact:
         subsets = [frozenset(T) for T in combinations(universe, half)]
-        exact = True
     else:
         rng = random.Random(seed)
         subsets = [frozenset(rng.sample(list(universe), half)) for _ in range(trials)]
-        exact = False
     A = 0
     for v in range(g.n):
         if B >> v & 1:
@@ -255,8 +247,6 @@ def good_vertices(g, B, L0, s, k, mode="exact", trials=200, seed=0):
 
 def sample_L1(A, s, seed):
     """Independent uniform s-subsets of {0..s^2-1} for each vertex of A."""
-    if s * s < s:
-        raise ValueError("color universe smaller than list size")
     rng = random.Random(seed)
     universe = list(range(s * s))
     return {v: frozenset(rng.sample(universe, s)) for v in bits(A)}
@@ -287,49 +277,36 @@ class DominationResult:
     checked: int
 
 
-def verify_L1_dominates(g, A, B, L0, L1, k, mode="exact", cap=DOMINATION_EXACT_CAP,
-                        trials=200, seed=0):
+def verify_L1_dominates(g, A, B, L0, L1, k, trials=200, seed=0):
     """Check |A_{phi,L1}| > |B| over L0-colorings phi of B.
 
-    Exact mode enumerates all s^|B| colorings (within cap); sampled mode
-    draws random colorings and reports the worst margin seen.  An empty B
-    has a single empty coloring, so the condition degenerates to |A_phi| > 0.
+    All colorings are enumerated iff there are at most DOMINATION_EXACT_CAP
+    of them, stopping at the first refuting one; past the cap ``trials``
+    random colorings are drawn and the worst margin seen is reported.  An
+    empty B has a single empty coloring, so the condition degenerates to
+    |A_phi| > 0.
     """
     b_verts = sorted(bits(B))
     b_size = len(b_verts)
-    if mode == "exact":
-        total = 1
-        for v in b_verts:
-            total *= len(L0[v])
-            if total > cap:
-                raise CapExceeded(
-                    f"domination exact: more than {cap} colorings", cap_name="domination"
-                )
-        worst = None
-        counterexample = None
-        checked = 0
-        for combo in product(*(sorted(L0[v]) for v in b_verts)):
-            phi = dict(zip(b_verts, combo))
-            margin = compute_A_phi(g, A, B, L1, phi, k).bit_count() - b_size
-            checked += 1
-            if worst is None or margin < worst:
-                worst = margin
-                if margin <= 0:
-                    counterexample = phi
-                    break
-        return DominationResult(counterexample is None, True, worst, counterexample, checked)
-
-    rng = random.Random(seed)
-    worst = None
-    counterexample = None
-    for _ in range(trials):
-        phi = {v: rng.choice(sorted(L0[v])) for v in b_verts}
+    exact = math.prod(len(L0[v]) for v in b_verts) <= DOMINATION_EXACT_CAP
+    if exact:
+        colorings = (dict(zip(b_verts, combo))
+                     for combo in product(*(sorted(L0[v]) for v in b_verts)))
+    else:
+        rng = random.Random(seed)
+        colorings = ({v: rng.choice(sorted(L0[v])) for v in b_verts} for _ in range(trials))
+    worst = counterexample = None
+    checked = 0
+    for phi in colorings:
         margin = compute_A_phi(g, A, B, L1, phi, k).bit_count() - b_size
+        checked += 1
         if worst is None or margin < worst:
             worst = margin
-            if margin <= 0 and counterexample is None:
-                counterexample = phi
-    return DominationResult(counterexample is None, False, worst, counterexample, trials)
+        if margin <= 0 and counterexample is None:
+            counterexample = phi
+            if exact:
+                break
+    return DominationResult(counterexample is None, exact, worst, counterexample, checked)
 
 
 def adversary_pipeline(g, s, k, d, seed):
@@ -341,8 +318,7 @@ def adversary_pipeline(g, s, k, d, seed):
     proven to work needs astronomically large minimum degree).
     """
     B, L0 = sample_B_L0(g, s, k, d, seed)
-    mode = "exact" if s <= GOOD_VERTICES_EXACT_S_CAP else "sampled"
-    A, exact_c = good_vertices(g, B, L0, s, k, mode=mode, seed=f"{seed}:goodT")
+    A, exact_c = good_vertices(g, B, L0, s, k, seed=f"{seed}:goodT")
     L1 = sample_L1(A, s, f"{seed}:L1")
     n = g.n
     cond_a = A.bit_count() * 2 >= n
@@ -355,7 +331,7 @@ def adversary_pipeline(g, s, k, d, seed):
         "B_size": B.bit_count(),
         "empty_B_convention": "domination over an empty B degenerates to |A_phi| > 0",
     }
-    return AdversaryState(g, s, k, d, B, L0, A, L1, report)
+    return AdversaryState(B, L0, A, L1, report)
 
 
 def mono_dense_witness(g, coloring, k):

@@ -78,17 +78,6 @@ class _Dinic:
                 flow += pushed
         return flow
 
-    def source_side(self, s):
-        seen = [False] * self.n
-        seen[s] = True
-        q = [s]
-        for u in q:
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-        return seen
-
 
 def _denser_than(g, mask, guess):
     """A vertex mask inside ``mask`` with density strictly above ``guess``, or 0."""
@@ -110,8 +99,8 @@ def _denser_than(g, mask, guess):
     cut = net.max_flow(source, sink)
     if cut >= b * m * n:
         return 0
-    side = net.source_side(source)
-    return mask_of(v for v, inside in zip(verts, side) if inside)
+    # the last BFS of max_flow, which found no path, leveled the residual source side
+    return mask_of(v for v, level in zip(verts, net.level) if level >= 0)
 
 
 def _density(g, mask):

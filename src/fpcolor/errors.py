@@ -1,6 +1,2 @@
 class CapExceeded(RuntimeError):
-    """An exponential routine was asked to run beyond its configured cap."""
-
-    def __init__(self, message, cap_name="cap"):
-        super().__init__(message)
-        self.cap_name = cap_name
+    """An exponential routine was asked to run beyond its module's cap."""

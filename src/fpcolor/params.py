@@ -69,9 +69,7 @@ def _longest_path(g, mask):
     h = mask.bit_count()
     if h > FAN_NEIGHBORHOOD_CAP:
         raise CapExceeded(
-            f"fan: neighborhood of {h} vertices exceeds cap {FAN_NEIGHBORHOOD_CAP}",
-            cap_name="fan-neighborhood",
-        )
+            f"fan: neighborhood of {h} vertices exceeds cap {FAN_NEIGHBORHOOD_CAP}")
     best = 1
     frontier = [(1 << v, v) for v in bits(mask)]
     seen = set(frontier)
@@ -100,13 +98,13 @@ def _fan(g, mask):
     return best
 
 
-def _chromatic(g, mask, cap=CHROMATIC_CAP):
+def _chromatic(g, mask):
     verts = list(bits(mask))
     k = len(verts)
     if k == 0:
         return 0
-    if k > cap:
-        raise CapExceeded(f"chromatic: n={k} exceeds cap {cap}", cap_name="chromatic-n")
+    if k > CHROMATIC_CAP:
+        raise CapExceeded(f"chromatic: n={k} exceeds cap {CHROMATIC_CAP}")
     # order by degree inside the mask, densest first
     verts.sort(key=lambda v: -(g.adj[v] & mask).bit_count())
 

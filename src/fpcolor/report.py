@@ -9,7 +9,6 @@ against the definitions only, never trusting solver internals.
 from __future__ import annotations
 
 import json
-import time
 from fractions import Fraction
 from itertools import product
 
@@ -47,27 +46,14 @@ def canonical_json(obj):
     return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-def make_report(command, inputs, result, certificate=None, status="exact", elapsed_ms=None):
-    report = {
+def make_report(command, inputs, result, certificate=None, status="exact"):
+    return {
         "command": command,
         "inputs": jsonable(inputs),
         "result": jsonable(result),
         "certificate": jsonable(certificate),
         "status": status,
     }
-    if elapsed_ms is not None:
-        report["elapsed_ms"] = elapsed_ms
-    return report
-
-
-class Stopwatch:
-    def __enter__(self):
-        self.start = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed_ms = int((time.monotonic() - self.start) * 1000)
-        return False
 
 
 # -- certificate (de)serialization ------------------------------------------

@@ -204,11 +204,11 @@ def peel(g: Graph, s: int, f: Parameter, p: int, cutoff=None):
     return islands, 0
 
 
-def col_fp(g: Graph, f: Parameter, p: int, cap=COL_N_CAP) -> ColResult:
+def col_fp(g: Graph, f: Parameter, p: int) -> ColResult:
     """Exact island coloring number, the peel at that value (the upper
     certificate) and an island-free mask at one less (the lower)."""
-    if g.n > cap:
-        raise CapExceeded(f"col: n={g.n} exceeds cap {cap}", cap_name="col-n")
+    if g.n > COL_N_CAP:
+        raise CapExceeded(f"col: n={g.n} exceeds cap {COL_N_CAP}")
     for v in range(g.n):
         if f.eval_mask(g, 1 << v) > p:
             raise ValueError(
@@ -251,15 +251,15 @@ def degeneracy_col(g: Graph) -> int:
     return worst + 1
 
 
-def chi_fp(g: Graph, f: Parameter, p: int, cap=CHI_N_CAP):
+def chi_fp(g: Graph, f: Parameter, p: int):
     """Least s admitting an (f,p)-proper coloring, with a witness.
 
     Backtracking over vertices in index order; with hereditary f a partial
     class already violating f <= p prunes the branch (a violation can never
     recover), otherwise classes are only checked once complete.
     """
-    if g.n > cap:
-        raise CapExceeded(f"chi: n={g.n} exceeds cap {cap}", cap_name="chi-n")
+    if g.n > CHI_N_CAP:
+        raise CapExceeded(f"chi: n={g.n} exceeds cap {CHI_N_CAP}")
     if g.n == 0:
         return 0, ()
     allowed = ClassOracle(g, f.eval_mask, p)
@@ -315,13 +315,9 @@ def decide_choosability_fp(
     mapped back to vertex ids.
     """
     if g.n > cap_n:
-        raise CapExceeded(
-            f"choosability: n={g.n} exceeds cap {cap_n}", cap_name="choosability-n"
-        )
+        raise CapExceeded(f"choosability: n={g.n} exceeds cap {cap_n}")
     if s > cap_s:
-        raise CapExceeded(
-            f"choosability: s={s} exceeds cap {cap_s}", cap_name="choosability-s"
-        )
+        raise CapExceeded(f"choosability: s={s} exceeds cap {cap_s}")
     if s < 0:
         raise ValueError(f"choosability: list size s={s} is negative")
     if g.n == 0:
@@ -475,8 +471,7 @@ def compose_bound(p: int, s: int, g_fn) -> int:
     return value
 
 
-def island_free_exhaustive(g: Graph, s: int, f: Parameter, p: int, active=None,
-                           cap=EXHAUSTIVE_ISLAND_CAP):
+def island_free_exhaustive(g: Graph, s: int, f: Parameter, p: int, active=None):
     """Definition-level check that g[active] contains NO s-island with f <= p.
 
     Enumerates all nonempty subsets (not only connected ones) of the
@@ -490,11 +485,9 @@ def island_free_exhaustive(g: Graph, s: int, f: Parameter, p: int, active=None,
         active = g.full_mask()
     verts = list(bits(active & ~excluded_core(g, s, active, star_cutoff(g, f, p))))
     k = len(verts)
-    if k > cap:
+    if k > EXHAUSTIVE_ISLAND_CAP:
         raise CapExceeded(
-            f"exhaustive island check: {k} vertices exceeds cap {cap}",
-            cap_name="exhaustive-island-n",
-        )
+            f"exhaustive island check: {k} vertices exceeds cap {EXHAUSTIVE_ISLAND_CAP}")
     for sub in range(1, 1 << k):
         island = 0
         rest = sub

@@ -313,7 +313,7 @@ def suite_estim(smax=12):
 
 
 def suite_pipeline(n=200, d=64, s=2, k=1, seeds=tuple(range(20)), trials=100,
-                   exact_cap=10**6, require_a=16, require_b=16):
+                   require_a=16, require_b=16):
     """Relaxed-constants adversary pipeline sanity run.
 
     Reports how often the sampled states satisfy conditions (a) and (b),
@@ -331,11 +331,10 @@ def suite_pipeline(n=200, d=64, s=2, k=1, seeds=tuple(range(20)), trials=100,
         count_a += bool(rep["a"])
         count_b += bool(rep["b"])
         b_size = state.B.bit_count()
-        feasible = s**b_size <= exact_cap
+        feasible = s**b_size <= cons.DOMINATION_EXACT_CAP
         rep["exact_domination_feasible"] = feasible
         if feasible:
-            dom = cons.verify_L1_dominates(g, state.A, state.B, state.L0, state.L1, k,
-                                           mode="exact", cap=exact_cap)
+            dom = cons.verify_L1_dominates(g, state.A, state.B, state.L0, state.L1, k)
             rep["domination"] = dom.ok
             rep["worst_margin"] = dom.worst_margin
             if dom.ok:

@@ -163,16 +163,17 @@ def test_good_vertices_exact_small():
     assert A == 0
 
 
-def test_good_vertices_sampled_superset():
+def test_good_vertices_sampled_superset(monkeypatch):
     g = cons.random_bipartite(30, 8, 77)
     B, L0 = cons.sample_B_L0(g, 2, 1, 8, 77)
-    exact_A, exact = cons.good_vertices(g, B, L0, 2, 1, mode="exact")
-    sampled_A, flag = cons.good_vertices(g, B, L0, 2, 1, mode="sampled", trials=20, seed=1)
+    exact_A, exact = cons.good_vertices(g, B, L0, 2, 1)
+    monkeypatch.setattr(cons, "GOOD_VERTICES_EXACT_S_CAP", 1)  # s = 2 is now sampled
+    sampled_A, flag = cons.good_vertices(g, B, L0, 2, 1, trials=20, seed=1)
     assert exact and not flag
     assert exact_A & ~sampled_A == 0  # sampling checks fewer T, so it can only over-approve
 
 
-def test_compute_A_phi_and_domination():
+def test_compute_A_phi_and_domination(monkeypatch):
     # hub-and-leaves instance where domination is checkable by hand
     g = Graph(4, [(0, 3), (1, 3), (2, 3)])
     B = mask_of([0, 1, 2])
@@ -184,21 +185,22 @@ def test_compute_A_phi_and_domination():
     assert cons.compute_A_phi(g, A, B, L1, phi, k=4) == 0
     with pytest.raises(ValueError):
         cons.compute_A_phi(g, A, B, L1, {0: 0}, k=1)
-    dom = cons.verify_L1_dominates(g, A, B, L0, L1, k=1, mode="exact")
+    dom = cons.verify_L1_dominates(g, A, B, L0, L1, k=1)
     assert dom.exact and not dom.ok  # |A_phi| = 1 is not greater than |B| = 3
     assert dom.worst_margin == 1 - 3
-    sampled = cons.verify_L1_dominates(g, A, B, L0, L1, k=1, mode="sampled", trials=10)
+    monkeypatch.setattr(cons, "DOMINATION_EXACT_CAP", 0)  # its one coloring is now sampled
+    sampled = cons.verify_L1_dominates(g, A, B, L0, L1, k=1, trials=10)
     assert not sampled.exact and sampled.ok == dom.ok
 
 
-def test_domination_exact_matches_sampled_when_all_colorings_seen():
+def test_domination_exact_matches_sampled_when_all_colorings_seen(monkeypatch):
     g = cons.random_bipartite(8, 4, 5)
     state = cons.adversary_pipeline(g, 2, 1, 4, seed=5)
     if state.B.bit_count() <= 8:
-        exact = cons.verify_L1_dominates(g, state.A, state.B, state.L0, state.L1, 1,
-                                         mode="exact")
+        exact = cons.verify_L1_dominates(g, state.A, state.B, state.L0, state.L1, 1)
+        monkeypatch.setattr(cons, "DOMINATION_EXACT_CAP", 0)
         sampled = cons.verify_L1_dominates(g, state.A, state.B, state.L0, state.L1, 1,
-                                           mode="sampled", trials=500, seed=9)
+                                           trials=500, seed=9)
         assert exact.exact
         # sampled worst margin can only be at least the exact one
         assert sampled.worst_margin >= exact.worst_margin
@@ -208,7 +210,7 @@ def test_domination_exact_matches_sampled_when_all_colorings_seen():
 
 def test_empty_B_domination_convention():
     g = cons.path(3)
-    dom = cons.verify_L1_dominates(g, 1 << 0, 0, {}, {0: frozenset({0})}, k=0, mode="exact")
+    dom = cons.verify_L1_dominates(g, 1 << 0, 0, {}, {0: frozenset({0})}, k=0)
     assert dom.ok and dom.checked == 1  # single empty coloring, |A_phi| > 0
 
 

@@ -3,9 +3,11 @@
 import json
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from fpcolor import cli
 from fpcolor import constructions as cons
 from fpcolor.cli import main
 from fpcolor.params import PARAMETERS
@@ -45,11 +47,14 @@ def test_canonical_json_is_stable():
     assert json.loads(one) == {"a": {"c": [3, 1], "d": "1/3"}, "b": 1}
 
 
-def test_make_report_timing_opt_in():
-    rep = make_report("x", {}, {})
-    assert "elapsed_ms" not in rep
-    rep = make_report("x", {}, {}, elapsed_ms=12)
-    assert rep["elapsed_ms"] == 12
+def test_make_report_timing_opt_in(capsys, monkeypatch):
+    """Reports carry no wall time unless --timing asks; then the clock that
+    cli.main starts covers the whole run, loading and reporting included."""
+    assert "elapsed_ms" not in make_report("x", {}, {})
+    clock = iter([10.0, 12.5])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    code, out, _ = run_cli(capsys, "--timing", "lemma", "estim", "--smax", "2")
+    assert code == 0 and json.loads(out)["elapsed_ms"] == 2500
 
 
 def test_col_certificate_round_trip():
@@ -375,6 +380,10 @@ def test_cli_usage_errors(capsys):
     assert run_cli(capsys, "solve", "col", "--gen", "cycle:5", "--f", "star",
                    "--p", "0")[0] == 2
     assert run_cli(capsys, "verify", "/nonexistent/report.json")[0] == 2
+    for argv in (("adversary", "--gen", "bipartite:0,1", "--s", "2"),
+                 ("param", "--gen", "bipartite:0,1", "--f", "star")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.count("\n") == 1 and "n >= 1" in err, argv
 
 
 def test_cli_cap_exit_code(capsys):
@@ -391,6 +400,22 @@ def test_cli_byte_identical_runs(capsys):
     assert first == second
     _, timed, _ = run_cli(capsys, "--timing", *args)
     assert "elapsed_ms" in json.loads(timed)
+
+
+def test_cli_timing_on_every_report_command(capsys):
+    """--timing adds elapsed_ms to every report, lemma and question ones
+    included, and changes nothing else; without it runs stay byte-identical."""
+    for argv in (("lemma", "estim", "--smax", "3"),
+                 ("question", "q1", "--graphs", "2", "--max-n", "3", "--seed", "0"),
+                 ("adversary", "--gen", "bipartite:6,3,0", "--d", "4"),
+                 ("param", "--gen", "cycle:5", "--f", "mad")):
+        _, first, _ = run_cli(capsys, *argv)
+        _, second, _ = run_cli(capsys, *argv)
+        assert first == second and "elapsed_ms" not in json.loads(first), argv
+        _, timed, _ = run_cli(capsys, "--timing", *argv)
+        timed = json.loads(timed)
+        assert isinstance(timed.pop("elapsed_ms"), int), argv
+        assert timed == json.loads(first), argv
 
 
 def test_cli_generate_and_file_loading(tmp_path, capsys):
@@ -422,6 +447,24 @@ def test_cli_adversary(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["condition_report"]["B_size"] == len(rep["result"]["B"])
+
+
+def test_cli_adversary_check_domination(capsys):
+    """Condition (c) is checked over every L0-colouring of B when there are at
+    most DOMINATION_EXACT_CAP of them, and on --trials random ones past it."""
+    base = ("adversary", "--s", "2", "--k", "1", "--check-domination")
+    code, out, _ = run_cli(capsys, *base, "--gen", "bipartite:20,4,2", "--d", "4",
+                           "--seed", "3")
+    rep = json.loads(out)
+    assert code == 0 and 2 ** len(rep["result"]["B"]) <= cons.DOMINATION_EXACT_CAP
+    assert rep["status"] == "exact" and rep["result"]["domination"]["exact"]
+    code, out, _ = run_cli(capsys, *base, "--gen", "bipartite:30,8,77", "--d", "8",
+                           "--seed", "77", "--trials", "7")
+    rep = json.loads(out)
+    assert code == 0 and 2 ** len(rep["result"]["B"]) > cons.DOMINATION_EXACT_CAP
+    assert rep["status"] == "estimate"
+    assert rep["result"]["domination"] == {"checked": 7, "exact": False, "ok": False,
+                                           "worst_margin": -len(rep["result"]["B"])}
 
 
 def test_cli_lemma_suites(capsys):
