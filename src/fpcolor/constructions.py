@@ -39,6 +39,8 @@ def complete(n):
 
 
 def complete_bipartite(a, b):
+    if a < 0 or b < 0:
+        raise ValueError("complete_bipartite needs part sizes >= 0")
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)], name=f"K{a},{b}")
 
 
@@ -87,6 +89,8 @@ def path_power(n, t):
 
 
 def random_gnp(n, prob, seed, name=""):
+    if not 0 <= prob <= 1:
+        raise ValueError(f"edge probability {prob} out of [0,1]")
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob

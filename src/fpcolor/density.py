@@ -1,22 +1,44 @@
 """Exact maximum-density subgraph via max-flow with rational thresholds.
 
-Density of a vertex set S is |E(S)|/|S|; the maximum average degree is
-twice the maximum density.  For a rational guess g = a/b the flow network
+Density of a vertex set S is |E(S)|/|S|; the maximum average degree (mad)
+is twice the maximum density.  For a rational guess g = a/b the flow network
 (source -> v: m; v -> sink: m + 2g - deg v; each edge 1 both ways, all
 scaled by b) has min cut b*m*n - 2*(b|E(S)| - a|S|) minimized over S, so a
-cut below b*m*n exhibits a set strictly denser than the guess.  Iterating
-from the whole graph's density terminates with the exact optimum.
+cut below b*m*n exhibits a set strictly denser than the guess (Goldberg,
+1984).
 
-Both entry points take an optional host vertex mask and answer for the
-subgraph it induces; the network's nodes are the mask's vertices in
-increasing order, and witnesses are host masks.
+Flows run only where cheap bounds leave a gap.  Let d be the degeneracy, the
+largest core number (``graph.core_numbers``).  A set of s > d vertices has at
+most ds - d(d+1)/2 edges, and one of s <= d vertices has density below d/2,
+so mad < 2d; mad is at most the maximum degree; and every suffix of the
+min-degree peel order, every k-core among them, bounds mad from below, the
+d-core by d (Charikar's greedy peel, APPROX 2000).
+
+- ``mad_floor``, the evaluator of the ``mad`` parameter, returns floor(mad)
+  by bisecting between those bounds.  A step asks whether some S has
+  2|E(S)| >= t|S|.  A densest set has minimum degree at least its density,
+  so such an S lies in the ceil(t/2)-core C, and it has between
+  d(d+1)/(2d - t) and 2|E(C)|/t vertices; when no size fits, the answer is
+  no.  Otherwise one flow on C at the guess t/2 - 1/(2k+1), k = |C|,
+  answers: densities of subsets of C have denominators at most k, so none
+  lies strictly between the guess and t/2.  Forests, cycles and cliques,
+  and path powers and k-trees on more than k(k+1) vertices, run no flow.
+- ``max_density`` returns the whole mask with no flow when its density is
+  d - d(d+1)/(2|mask|), which no subset exceeds (trees, k-trees, path
+  powers, cliques).  Otherwise it iterates flows from the whole mask's
+  density to the exact optimum: one flow per improving guess and one that
+  certifies it.
+
+Every entry point takes a host vertex mask and answers for the subgraph it
+induces; the network's nodes are the mask's vertices in increasing order,
+and witnesses are host masks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from fpcolor.graph import bits, mask_of
+from fpcolor.graph import bits, core_numbers, mask_of
 
 
 class _Dinic:
@@ -120,6 +142,9 @@ def max_density(g, mask=None):
     best = _density(g, best_mask)
     if not best:  # edgeless: its lowest vertex
         return best, mask & -mask
+    d = max(core_numbers(g, mask).values())
+    if best == d - Fraction(d * (d + 1), 2 * mask.bit_count()):
+        return best, mask
     while True:
         improved = _denser_than(g, mask, best)
         if not improved:
@@ -135,3 +160,31 @@ def exact_mad(g, mask=None):
     as an exact Fraction."""
     dens, _ = max_density(g, mask)
     return 2 * dens
+
+
+def mad_floor(g, mask):
+    """floor of the maximum average degree of g[mask], as an int; 0 when
+    g[mask] has no edge."""
+    core = core_numbers(g, mask)
+    d = max(core.values(), default=0)
+    if not d:
+        return 0
+    # lo: the densest suffix of the peel order, every k-core among them
+    lo = twice_m = inside = 0
+    for count, v in enumerate(reversed(core), 1):
+        twice_m += 2 * (g.adj[v] & inside).bit_count()
+        inside |= 1 << v
+        lo = max(lo, twice_m // count)
+    hi = min(2 * d - 1, max((g.adj[v] & mask).bit_count() for v in core))
+    while lo < hi:  # is there an S with 2|E(S)| >= t|S|?
+        t = (lo + hi + 1) // 2
+        dense = mask_of(v for v, k in core.items() if 2 * k >= t)
+        size = dense.bit_count()
+        twice_mc = sum((g.adj[v] & dense).bit_count() for v in bits(dense))
+        # such an S has s vertices, d(d+1)/(2d-t) <= s <= 2|E(dense)|/t
+        if (twice_mc // t) * (2 * d - t) >= d * (d + 1) and _denser_than(
+                g, dense, Fraction(t, 2) - Fraction(1, 2 * size + 1)):
+            lo = t
+        else:
+            hi = t - 1
+    return lo

@@ -277,6 +277,44 @@ def components(g, within=None):
     return out
 
 
+def core_numbers(g, mask):
+    """Core number of each vertex of g[mask], as a dict in the order a
+    min-degree peel removes the vertices.  A vertex's core number is the
+    largest k such that it lies in a subgraph of minimum degree k (the
+    k-core is a suffix of the order); the degeneracy is the largest.
+
+    A bucket peel in O(n + m): repeatedly remove a vertex of least degree
+    among those left; a vertex's core number is the largest degree seen at
+    removal so far.  Buckets keep stale entries, skipped when popped.
+    """
+    adj = g.adj
+    deg = {v: (adj[v] & mask).bit_count() for v in bits(mask)}
+    buckets = [[] for _ in range(max(deg.values(), default=0) + 1)]
+    for v, d in deg.items():
+        buckets[d].append(v)
+    core, alive, k, cursor = {}, mask, 0, 0
+    while alive:
+        while not buckets[cursor]:
+            cursor += 1
+        v = buckets[cursor].pop()
+        if v in core or deg[v] != cursor:
+            continue
+        if cursor > k:
+            k = cursor
+        core[v] = k
+        alive ^= 1 << v
+        rest = adj[v] & alive
+        while rest:  # bits() inlined: the mad evaluator peels every mask it sees
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            deg[w] -= 1
+            buckets[deg[w]].append(w)
+        if cursor:
+            cursor -= 1
+    return core
+
+
 def component_sizes(g, within=None):
     return [c.bit_count() for c in components(g, within)]
 

@@ -58,10 +58,6 @@ def _star(g, mask):
     return max(c.bit_count() for c in components(g, mask))
 
 
-def _mad_floor(g, mask):
-    return int(density.exact_mad(g, mask))
-
-
 def _longest_path(g, mask):
     """Number of vertices of a longest simple path inside g[mask]."""
     if not mask:
@@ -133,7 +129,7 @@ def _chromatic(g, mask):
 PARAMETERS = {
     "max-degree": Parameter("max-degree", True, True, True, True, _max_degree),
     "star": Parameter("star", True, True, True, True, _star),
-    "mad": Parameter("mad", True, True, True, True, _mad_floor),
+    "mad": Parameter("mad", True, True, True, True, density.mad_floor),
     "fan": Parameter("fan", True, True, True, False, _fan),
     "chromatic": Parameter("chromatic", True, True, True, False, _chromatic),
 }

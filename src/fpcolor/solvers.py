@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from fpcolor.errors import CapExceeded
-from fpcolor.graph import ClassOracle, Graph, bits, class_masks, find_coloring
+from fpcolor.graph import ClassOracle, Graph, bits, class_masks, core_numbers, find_coloring
 from fpcolor.params import Parameter
 
 CHOOSABILITY_N_CAP = 10
@@ -227,28 +227,7 @@ def col_fp(g: Graph, f: Parameter, p: int) -> ColResult:
 
 def degeneracy_col(g: Graph) -> int:
     """Classical coloring number via min-degree peeling (degeneracy + 1)."""
-    if g.n == 0:
-        return 1
-    degs = [g.degree(v) for v in range(g.n)]
-    buckets = [set() for _ in range(g.n)]
-    for v, d in enumerate(degs):
-        buckets[d].add(v)
-    alive = g.full_mask()
-    worst = 0
-    cursor = 0
-    for _ in range(g.n):
-        while not buckets[cursor]:
-            cursor += 1
-        v = min(buckets[cursor])
-        buckets[cursor].remove(v)
-        worst = max(worst, degs[v])
-        alive &= ~(1 << v)
-        for w in bits(g.adj[v] & alive):
-            buckets[degs[w]].remove(w)
-            degs[w] -= 1
-            buckets[degs[w]].add(w)
-        cursor = max(cursor - 1, 0)
-    return worst + 1
+    return 1 + max(core_numbers(g, g.full_mask()).values(), default=0)
 
 
 def chi_fp(g: Graph, f: Parameter, p: int):

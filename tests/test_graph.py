@@ -15,6 +15,7 @@ from fpcolor.graph import (
     class_masks,
     component_sizes,
     components,
+    core_numbers,
     find_coloring,
     from_edge_list,
     from_graph6,
@@ -166,6 +167,25 @@ def test_girth_matches_bfs_oracle():
         n = rng.randint(1, 9)
         g = cons.random_gnp(n, rng.uniform(0.1, 0.8), rng.getrandbits(32))
         assert girth(g) == oracle(g)
+
+
+def test_core_numbers_against_subset_oracle():
+    """A vertex's core number is the largest minimum degree of a subgraph of
+    g[mask] that holds it."""
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(0, 8)
+        g = cons.random_gnp(n, rng.uniform(0.1, 0.9), rng.getrandbits(32))
+        mask = rng.getrandbits(n) | (g.full_mask() if rng.random() < 0.5 else 0)
+        best = {v: 0 for v in bits(mask)}
+        for sub in range(1, 1 << n):
+            if sub & ~mask:
+                continue
+            low = min((g.adj[v] & sub).bit_count() for v in bits(sub))
+            for v in bits(sub):
+                best[v] = max(best[v], low)
+        assert core_numbers(g, mask) == best
+    assert core_numbers(cons.complete(5), 0) == {}
 
 
 def test_average_degree():

@@ -6,7 +6,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from fpcolor import constructions as cons
+from fpcolor import constructions as cons, density
 from fpcolor.density import exact_mad, max_density
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import Graph, average_degree, bits, components, induced_subgraph, mask_of
@@ -129,16 +129,148 @@ def test_average_degree_bounding_flags():
         assert average_degree(knn) == n
 
 
+def subset_max_density(g, mask):
+    """The largest |E(S)|/|S| over nonempty S inside ``mask``, by enumeration."""
+    best, sub = Fraction(0), mask
+    while sub:
+        inner = sum((g.adj[v] & sub).bit_count() for v in bits(sub)) // 2
+        best = max(best, Fraction(inner, sub.bit_count()))
+        sub = (sub - 1) & mask
+    return best
+
+
+def reference_max_density(g, mask):
+    """Densest subgraph by iterating flows to the optimum from the whole
+    mask's density, with no bound that skips a flow."""
+    if not mask:
+        return Fraction(0), 0
+    best_mask = mask
+    best = density._density(g, mask)
+    if not best:
+        return best, mask & -mask
+    while improved := density._denser_than(g, mask, best):
+        cand = density._density(g, improved)
+        assert cand > best
+        best, best_mask = cand, improved
+    return best, best_mask
+
+
+def k_tree(n, k, rng):
+    """A random k-tree: K_{k+1} (K_n when n <= k + 1), then each new vertex
+    joins all of a random k-clique already present."""
+    edges = list(combinations(range(min(n, k + 1)), 2))
+    cliques = [frozenset(c) for c in combinations(range(k + 1), k)] if n > k else []
+    for v in range(k + 1, n):
+        base = rng.choice(cliques)
+        edges += [(u, v) for u in base]
+        cliques += [base - {u} | {v} for u in base]
+    return Graph(n, edges)
+
+
+def mad_family(rng, max_n):
+    """A random graph from a family the mad bounds treat specially, or G(n,p)."""
+    n = rng.randint(1, max_n)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return cons.random_gnp(n, rng.uniform(0.05, 0.9), rng.getrandbits(32))
+    if kind == 1:  # a forest
+        return Graph(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.85])
+    if kind == 2:
+        return k_tree(n, rng.randint(1, 3), rng)
+    if kind == 3:
+        return cons.path_power(n, rng.randint(1, 4))
+    return cons.complete(n) if kind == 4 else cons.edgeless(n)
+
+
 def test_exact_mad_against_subset_oracle():
     for g in sample_graphs(25, 8, 23, min_n=1):
-        best = Fraction(0)
-        for size in range(1, g.n + 1):
-            for combo in combinations(range(g.n), size):
-                mask = mask_of(combo)
-                inner = sum((g.adj[v] & mask).bit_count() for v in combo)
-                best = max(best, Fraction(inner, size))
-        assert exact_mad(g) == best
-        assert MAD.eval(g) == int(best)
+        best = subset_max_density(g, g.full_mask())
+        assert exact_mad(g) == 2 * best
+        assert MAD.eval(g) == int(2 * best)
+
+
+def test_mad_bounds_against_both_oracles():
+    """floor(mad) and the densest subgraph agree with the subset oracle on
+    small masks and with the iterate-to-optimum reference on larger ones."""
+    rng = random.Random(53)
+    for trial in range(600):
+        g = mad_family(rng, 10 if trial < 400 else 40)
+        for mask in (g.full_mask(), rng.getrandbits(g.n)):
+            dens, witness = reference_max_density(g, mask)
+            if g.n <= 10:
+                assert dens == subset_max_density(g, mask)
+            assert max_density(g, mask) == (dens, witness)
+            assert MAD.eval_mask(g, mask) == int(2 * dens)
+
+
+@pytest.fixture
+def flows(monkeypatch):
+    """One entry per Dinic max-flow run while the test runs."""
+    runs = []
+    max_flow = density._Dinic.max_flow
+    monkeypatch.setattr(density._Dinic, "max_flow",
+                        lambda self, s, t: runs.append(1) or max_flow(self, s, t))
+    return runs
+
+
+def test_mad_threshold_flow_against_brute_force(monkeypatch):
+    """Each flow of the mad evaluator asks whether some S has 2|E(S)| >= t|S|:
+    it runs on the ceil(t/2)-core of the mask at the guess t/2 - 1/(2k+1),
+    k the core's size, and its answer matches enumeration."""
+    denser_than = density._denser_than
+    mask, checked = 0, []
+
+    def twice_edges(g, sub):
+        return sum((g.adj[v] & sub).bit_count() for v in bits(sub))
+
+    def threshold(g, core, guess):
+        t = int(2 * guess) + 1
+        assert guess == Fraction(t, 2) - Fraction(1, 2 * core.bit_count() + 1)
+        expect = mask  # the largest subset in which every vertex has 2 deg >= t
+        while low := mask_of(v for v in bits(expect)
+                             if 2 * (g.adj[v] & expect).bit_count() < t):
+            expect &= ~low
+        assert core == expect
+        found = denser_than(g, core, guess)
+        if found:
+            assert twice_edges(g, found) >= t * found.bit_count()
+        brute, sub = False, mask
+        while sub and not brute:
+            brute = twice_edges(g, sub) >= t * sub.bit_count()
+            sub = (sub - 1) & mask
+        assert bool(found) == brute
+        checked.append(t)
+        return found
+
+    monkeypatch.setattr(density, "_denser_than", threshold)
+    rng = random.Random(59)
+    for _ in range(2000):
+        n = rng.randint(1, 10)
+        g = cons.random_gnp(n, rng.uniform(0.2, 0.9), rng.getrandbits(32))
+        mask = g.full_mask() if rng.random() < 0.5 else rng.getrandbits(n)
+        MAD.eval_mask(g, mask)
+    assert len(checked) >= 50
+
+
+def lollipop(n):
+    """An n-vertex path whose first four vertices span a K4."""
+    return Graph(n, cons.path(n).edges() + [(0, 2), (0, 3), (1, 3)])
+
+
+def test_mad_bounds_decide_without_a_flow(flows):
+    """Paths, path powers and cliques meet their degeneracy bounds, so
+    neither floor(mad) nor the densest subgraph runs a flow.  floor(mad)
+    needs none either where the densest peel suffix (the K4 of a lollipop)
+    or the core's size and edge count (a 5-cycle with a chord) settle it."""
+    p4096 = cons.path(4096)
+    assert exact_mad(p4096) == Fraction(4095, 2048) and MAD.eval(p4096) == 1
+    cube = cons.path_power(200, 3)
+    assert exact_mad(cube) == Fraction(2 * 594, 200) and MAD.eval(cube) == 5
+    k9 = cons.complete(9)
+    assert max_density(k9) == (4, k9.full_mask()) and MAD.eval(k9) == 8
+    assert MAD.eval(lollipop(600)) == 3
+    assert MAD.eval(Graph(5, cons.cycle(5).edges() + [(0, 2)])) == 2
+    assert flows == []
 
 
 def test_max_density_witness_attains_value():
@@ -175,16 +307,20 @@ def test_density_of_a_mask_matches_its_induced_copy():
         assert max_density(g, independent) == (0, 1)
 
 
-def test_mad_of_a_long_path_needs_no_deep_recursion():
-    """The augmenting-path search is iterative: P600 has a 600-arc path."""
+def test_mad_of_a_long_path_needs_no_deep_recursion(flows):
+    """The augmenting-path search is iterative, so flows on the network of a
+    600-vertex path need no deep recursion.  The bounds settle the bare path
+    with no flow; with a K4 at one end they do not."""
     import sys
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(300)
     try:
         assert exact_mad(cons.path(600)) == Fraction(599, 300)
+        assert exact_mad(lollipop(600)) == 3
     finally:
         sys.setrecursionlimit(limit)
+    assert flows
 
 
 def test_fan_against_naive_oracle():

@@ -32,6 +32,8 @@ def test_tracer_install_round_trip(tmp_path):
         assert cli.main(["solve", "choosable", "--gen", "cycle:4", "--f", "star",
                          "--p", "1", "--s", "2", "--out", str(tmp_path / "c4.json")]) == 0
         solvers.chi_fp(cons.cycle(5), params.PARAMETERS["mad"], 1)
+        # degeneracy bounds settle mad on C5 with no flow, but not this G(8, 1/2)
+        density.exact_mad(cons.random_gnp(8, 0.5, 1))
         solvers.exists_L_coloring(cons.cycle(4), solvers.list_assignment([{0, 1}] * 4),
                                   params.PARAMETERS["star"], 1)
     finally:

@@ -384,6 +384,11 @@ def test_cli_usage_errors(capsys):
                  ("param", "--gen", "bipartite:0,1", "--f", "star")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.count("\n") == 1 and "n >= 1" in err, argv
+    for gen, message in (("complete-bipartite:-1,2", "part sizes >= 0"),
+                         ("gnp:5,1.5,1", "out of [0,1]"),
+                         ("gnp:5,-0.5,1", "out of [0,1]")):
+        code, _, err = run_cli(capsys, "param", "--gen", gen, "--f", "star")
+        assert code == 2 and err.count("\n") == 1 and message in err, gen
 
 
 def test_cli_cap_exit_code(capsys):
