@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import sys
 import time
 
@@ -25,6 +26,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+# each suite's signature states its options and defaults; taken at import, so
+# that a wrapper later put round a suite cannot hide them
+SUITE_SIGNATURES = {name: inspect.signature(fn) for name, fn in suites.SUITES.items()}
 
 
 GENERATORS = {
@@ -216,45 +221,32 @@ def cmd_verify(args):
 
 
 def cmd_lemma(args):
-    fn = suites.SUITES[args.name]
-    kwargs = {}
-    if args.seed is not None and args.name != "estim":
-        kwargs["seed"] = args.seed
-    if args.name == "lemma1":
-        kwargs.update(graphs=args.graphs, max_n=args.max_n, assignments=args.trials)
-    elif args.name == "nofan":
-        kwargs.update(i_values=tuple(args.i), trials=args.trials)
-    elif args.name == "addit":
-        kwargs.update(graphs=args.graphs, max_n=args.max_n)
-    elif args.name == "path":
-        kwargs.update(t_values=tuple(args.t), trials=args.trials)
-        if args.n:
-            kwargs["n"] = args.n
-    elif args.name == "coldens":
-        kwargs.update(graphs=args.graphs, max_n=args.max_n)
-    elif args.name == "mindeg":
-        kwargs.update(graphs=args.graphs)
-    elif args.name == "estim":
-        kwargs = {"smax": args.smax}
-    elif args.name == "pipeline":
-        kwargs.update(n=args.n or 200, d=args.d, s=args.s or 2, k=args.k,
-                      seeds=tuple(range(args.seeds)), trials=args.trials)
-        kwargs.pop("seed", None)
-    result = fn(**kwargs)
-    emit(args, rep.make_report(f"lemma {args.name}", {"config": {k: v for k, v in kwargs.items()}},
-                               result,
+    signature = SUITE_SIGNATURES[args.name]
+    flags = args.suite_flags  # parameter name -> flag spelling
+    given = {name: getattr(args, name) for name in flags if hasattr(args, name)}
+    foreign = [flags[name] for name in given if name not in signature.parameters]
+    if foreign:
+        takes = [flag for name, flag in flags.items() if name in signature.parameters]
+        raise ValueError(f"lemma {args.name} does not take {' '.join(foreign)}; "
+                         f"it takes {' '.join(takes)}")
+    bound = signature.bind(**given)
+    bound.apply_defaults()
+    result = suites.SUITES[args.name](**bound.arguments)
+    emit(args, rep.make_report(f"lemma {args.name}", {"config": bound.arguments}, result,
                                status="exact"))
     return EXIT_PASS if result["passed"] else EXIT_FAIL
 
 
 def cmd_question(args):
+    inputs = {"p": args.p, "smax": args.smax}
     if args.gen or args.graph:
         graphs = [load_graph(args)]
     else:
-        graphs = suites.random_graph_sample(args.graphs, args.max_n, args.seed or 0)
+        graphs = suites.random_graph_sample(args.graphs, args.max_n, args.seed)
+        inputs.update(seed=args.seed, max_n=args.max_n)
     result = suites.question_scan(args.q, graphs, args.p, smax=args.smax,
                                   cap_n=args.cap_choosability_n)
-    emit(args, rep.make_report(f"question {args.q}", {"p": args.p, "count": len(graphs)},
+    emit(args, rep.make_report(f"question {args.q}", {**inputs, "count": len(graphs)},
                                result))
     return EXIT_PASS if not result["violations"] else EXIT_FAIL
 
@@ -309,23 +301,19 @@ def build_parser():
     sp.add_argument("report")
     sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("lemma", help="run a lemma-verification suite")
+    sp = sub.add_parser("lemma", help="run a lemma-verification suite at its acceptance size",
+                        argument_default=argparse.SUPPRESS)
     sp.add_argument("name", choices=sorted(suites.SUITES))
     sp.add_argument("--format", dest="fmt", choices=("json", "table"), default="json")
     sp.add_argument("--out")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--graphs", type=int, default=100)
-    sp.add_argument("--max-n", type=int, default=9)
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--i", type=int, nargs="+", default=[2, 3])
-    sp.add_argument("--t", type=int, nargs="+", default=[1, 2, 3])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--smax", type=int, default=12)
-    sp.add_argument("--d", type=int, default=64)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--seeds", type=int, default=20)
-    sp.set_defaults(fn=cmd_lemma)
+    # each flag sets the suite parameter named by its dest; a flag left out
+    # takes the suite's own default
+    flags = [sp.add_argument(flag, type=int)
+             for flag in ("--seed", "--graphs", "--max-n", "--trials", "--n", "--smax",
+                          "--d", "--k", "--s", "--seeds")]
+    flags += [sp.add_argument(flag, dest=dest, type=int, nargs="+")
+              for flag, dest in (("--i", "i_values"), ("--t", "t_values"))]
+    sp.set_defaults(fn=cmd_lemma, suite_flags={a.dest: a.option_strings[0] for a in flags})
 
     sp = sub.add_parser("question", help="counterexample scans for the open questions")
     sp.add_argument("q", choices=("q1", "q2"))
@@ -333,7 +321,7 @@ def build_parser():
     sp.add_argument("--p", type=int, default=1)
     sp.add_argument("--graphs", type=int, default=50)
     sp.add_argument("--max-n", type=int, default=6)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--smax", type=int, default=3)
     sp.add_argument("--cap-choosability-n", type=int, default=CHOOSABILITY_N_CAP)
     sp.set_defaults(fn=cmd_question)

@@ -1,9 +1,9 @@
 """Lemma-verification suites: the randomized/exhaustive experiment batches
 behind the `lemma` CLI subcommand and the acceptance tests.
 
-Each suite takes explicit sizes and seeds, returns a JSON-able dict with a
-top-level "passed" flag, and dumps a self-contained counterexample bundle
-(graph6 + lists + coloring) on any failure.
+Each suite's signature states its options, with its acceptance size as the
+defaults. It returns a JSON-able dict with a top-level "passed" flag, and dumps
+a self-contained counterexample bundle (graph6 + lists + coloring) on any failure.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from fpcolor import constructions as cons
+from fpcolor.errors import CapExceeded
 from fpcolor.graph import average_degree, bits, class_masks, to_graph6
 from fpcolor.params import PARAMETERS
 from fpcolor.solvers import (
@@ -68,7 +69,7 @@ def choosability_value(g, f, p, smax, cap_n=CHOOSABILITY_N_CAP):
 # -- suites ---------------------------------------------------------------------
 
 
-def suite_lemma1(graphs=300, max_n=9, assignments=50, seed=0):
+def suite_lemma1(graphs=300, max_n=9, trials=50, seed=0):
     """Greedy island coloring succeeds with col-many list colors."""
     sample = random_graph_sample(graphs, max_n, seed)
     rng = random.Random(f"{seed}:lists")
@@ -79,7 +80,7 @@ def suite_lemma1(graphs=300, max_n=9, assignments=50, seed=0):
             for p in (1, 2):
                 res = col_fp(g, f, p)
                 s = res.value
-                for _ in range(assignments):
+                for _ in range(trials):
                     L = random_list_assignment(g.n, s, s + 3, rng)
                     coloring = greedy_island_coloring(g, L, f, p, res.islands)
                     checks += 1
@@ -100,7 +101,7 @@ def suite_lemma1(graphs=300, max_n=9, assignments=50, seed=0):
         "suite": "lemma1",
         "graphs": graphs,
         "max_n": max_n,
-        "assignments": assignments,
+        "assignments": trials,
         "seed": seed,
         "checks": checks,
         "failures": failures,
@@ -312,7 +313,7 @@ def suite_estim(smax=12):
             "passed": not failures}
 
 
-def suite_pipeline(n=200, d=64, s=2, k=1, seeds=tuple(range(20)), trials=100,
+def suite_pipeline(n=200, d=64, s=2, k=1, seeds=20, trials=100,
                    require_a=16, require_b=16):
     """Relaxed-constants adversary pipeline sanity run.
 
@@ -324,7 +325,7 @@ def suite_pipeline(n=200, d=64, s=2, k=1, seeds=tuple(range(20)), trials=100,
     runs = []
     count_a = count_b = 0
     implication_failures = []
-    for seed in seeds:
+    for seed in range(seeds):
         g = cons.random_bipartite(n, d, seed)
         state = cons.adversary_pipeline(g, s, k, d, seed)
         rep = dict(state.condition_report)
@@ -389,29 +390,32 @@ SUITES = {
 
 def question_scan(which, graphs, p, smax=3, cap_n=CHOOSABILITY_N_CAP):
     """Scan small graphs for violations of the clustered / mad choosability
-    ratio conjectures; records slack, never claims a proof."""
+    ratio conjectures; records slack, never claims a proof.  A graph past the
+    choosability cap, or with no choosable s <= smax, gets a row status saying so."""
+    if which == "q1":
+        f, factor = STAR, p
+    elif which == "q2":
+        f, factor = MAD, p + 1
+    else:
+        raise ValueError(f"unknown question {which!r}")
     rows = []
     violations = []
     min_slack = None
     for g in graphs:
-        lhs = choosability_value(g, STAR, 1, smax, cap_n=cap_n)
-        if which == "q1":
-            rhs_base = choosability_value(g, STAR, p, smax, cap_n=cap_n)
-            factor = p
-        elif which == "q2":
-            rhs_base = choosability_value(g, MAD, p, smax, cap_n=cap_n)
-            factor = p + 1
-        else:
-            raise ValueError(f"unknown question {which!r}")
         row = {"graph6": to_graph6(g), "n": g.n}
-        if lhs is None or rhs_base is None:
+        rows.append(row)
+        try:
+            lhs = choosability_value(g, STAR, 1, smax, cap_n=cap_n)
+            rhs_base = choosability_value(g, f, p, smax, cap_n=cap_n)
+        except CapExceeded:
             row["status"] = "above_choosability_cap"
-            rows.append(row)
+            continue
+        if lhs is None or rhs_base is None:
+            row["status"] = "above_smax"
             continue
         rhs = factor * rhs_base
         slack = rhs - lhs
         row.update({"lhs": lhs, "rhs": rhs, "slack": slack, "status": "ok"})
-        rows.append(row)
         if min_slack is None or slack < min_slack:
             min_slack = slack
         if slack < 0:

@@ -1,5 +1,6 @@
 """Report serialization, certificate re-verification and the CLI surface."""
 
+import inspect
 import json
 import time
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 from fpcolor import cli
 from fpcolor import constructions as cons
+from fpcolor import suites
 from fpcolor.cli import main
 from fpcolor.params import PARAMETERS
 from fpcolor.report import (
@@ -24,9 +26,10 @@ from fpcolor.report import (
     verify_certificate,
     verify_report,
 )
-from fpcolor.solvers import chi_fp, col_fp, decide_choosability_fp, find_island
-from fpcolor.graph import bits, to_graph6
-from fpcolor.suites import random_graph_sample
+from fpcolor.solvers import (CHOOSABILITY_N_CAP, chi_fp, col_fp, decide_choosability_fp,
+                             find_island)
+from fpcolor.graph import bits, from_graph6, to_graph6
+from fpcolor.suites import choosability_value, random_graph_sample
 
 STAR = PARAMETERS["star"]
 
@@ -69,6 +72,16 @@ def test_col_certificate_round_trip():
     bad = json.loads(json.dumps(cert))
     bad["value"] = res.value - 1
     assert not verify_certificate(g, bad)
+    # a value above 1 needs its lower certificate, stated at value - 1 and the
+    # upper certificate's f and p; each tampered lower one verifies on its own
+    bad = json.loads(json.dumps(cert))
+    del bad["lower"]
+    assert not verify_certificate(g, bad)
+    for key, value in (("s", res.value - 2), ("f", "fan"), ("p", 0)):
+        bad = json.loads(json.dumps(cert))
+        bad["lower"][key] = value
+        assert verify_certificate(g, bad["lower"]), key
+        assert not verify_certificate(g, bad), key
 
 
 def test_peel_certificate():
@@ -84,6 +97,7 @@ def test_coloring_certificate():
     assert verify_certificate(g, cert)
     cert_bad = coloring_to_json((0,) * 5, "star", 1)
     assert not verify_certificate(g, cert_bad)
+    assert not verify_certificate(g, coloring_to_json(coloring + (0,), "star", 1))
     with_lists = coloring_to_json(coloring, "star", 1,
                                   lists=[set(range(3))] * 5)
     assert verify_certificate(g, with_lists)
@@ -100,6 +114,16 @@ def test_bad_assignment_certificate():
     easy = {"type": "bad_list_assignment", "s": 1, "f": "star", "p": 1,
             "lists": [[v] for v in range(6)]}
     assert not verify_certificate(g, easy)
+    # still uncolourable, but one list too many, or one list short of s
+    lists = [sorted(lst) for lst in bad.lists]
+    for tampered in (lists + [[0, 1]], [lists[0][:1]] + lists[1:]):
+        cert = {**assignment_to_json(bad, "star", 1), "lists": tampered}
+        assert not verify_certificate(g, cert), tampered
+    # 4^10 colourings of ten lists are past the cap, even where the first is proper
+    huge = {"type": "bad_list_assignment", "s": 4, "f": "star", "p": 1,
+            "lists": [[0, 1, 2, 3]] * 10}
+    with pytest.raises(CertificateError, match="unverifiable at cap"):
+        verify_certificate(cons.edgeless(10), huge)
 
 
 def test_island_certificate():
@@ -110,6 +134,9 @@ def test_island_certificate():
     fake = island_to_json(g, island, 2, STAR, 1)
     fake["vertices"] = [2]  # an interior path vertex has 2 outside neighbors
     assert not verify_certificate(g, fake)
+    # the empty set is no island, even with claims that match it
+    empty = island_to_json(g, 0, 2, STAR, 1)
+    assert not verify_certificate(g, empty)
     # f_value and outside_counts are derived from the definitions
     for g in random_graph_sample(30, 7, 101):
         for f, p in ((STAR, 2), (PARAMETERS["max-degree"], 1), (PARAMETERS["fan"], 2)):
@@ -138,6 +165,12 @@ def test_verify_report_and_tampering():
         verify_report(tampered)
     with pytest.raises(CertificateError):
         verify_report({"inputs": {"graph6": to_graph6(g)}, "certificate": None})
+    with pytest.raises(CertificateError, match="lacks inputs.graph6"):
+        verify_report({**report, "inputs": {"graph_hash": g.content_hash()}})
+    # the excluded core rules out no vertex for mad at p = 2: 20 are left, past 16
+    refused = {"type": "island_free", "s": 3, "f": "mad", "p": 2, "vertices": list(range(20))}
+    with pytest.raises(CertificateError, match="unverifiable at cap"):
+        verify_certificate(cons.random_gnp(20, 0.3, 1), refused)
     with pytest.raises(CertificateError):
         verify_certificate(g, {"type": "mystery"})
 
@@ -474,9 +507,73 @@ def test_cli_adversary_check_domination(capsys):
 
 def test_cli_lemma_suites(capsys):
     code, out, _ = run_cli(capsys, "lemma", "estim")
-    assert code == 0 and json.loads(out)["result"]["passed"]
+    rep = json.loads(out)
+    assert code == 0 and rep["result"]["passed"]
+    assert rep["inputs"]["config"] == {"smax": 12}  # the suite's default
     code, out, _ = run_cli(capsys, "lemma", "mindeg", "--graphs", "5", "--seed", "1")
     assert code == 0 and json.loads(out)["result"]["passed"]
+
+
+#: a tiny run of every suite, as suite arguments
+TINY_LEMMA_RUNS = {
+    "lemma1": {"graphs": 4, "max_n": 5, "trials": 2, "seed": 1},
+    "nofan": {"i_values": [2], "trials": 5, "seed": 1},
+    "addit": {"graphs": 4, "max_n": 5, "seed": 1},
+    "path": {"t_values": [1, 2], "trials": 5, "n": 7, "seed": 1},
+    "coldens": {"graphs": 4, "max_n": 6, "seed": 1},
+    "mindeg": {"graphs": 4, "seed": 1},
+    "estim": {"smax": 4},
+    "pipeline": {"n": 40, "d": 16, "s": 2, "k": 1, "seeds": 2, "trials": 3},
+}
+
+
+def lemma_flag(param):
+    return {"i_values": "--i", "t_values": "--t"}.get(param, "--" + param.replace("_", "-"))
+
+
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_cli_lemma_binds_flags_to_the_suite(capsys, name):
+    """A lemma run gives the suite's own result on the flags it was given plus
+    the suite's defaults, and records all of those arguments as its config."""
+    assert sorted(TINY_LEMMA_RUNS) == sorted(suites.SUITES)
+    given = TINY_LEMMA_RUNS[name]
+    argv = []
+    for param, value in given.items():
+        argv += [lemma_flag(param), *map(str, value if isinstance(value, list) else [value])]
+    code, out, err = run_cli(capsys, "lemma", name, *argv)
+    assert err == ""
+    rep = json.loads(out)
+    fn = suites.SUITES[name]
+    arguments = {param: given.get(param, value.default)
+                 for param, value in inspect.signature(fn).parameters.items()}
+    assert rep["inputs"]["config"] == jsonable(arguments)
+    expected = fn(**arguments)
+    assert rep["result"] == json.loads(canonical_json(expected))
+    assert code == (0 if expected["passed"] else 1)
+
+
+def test_cli_lemma_refuses_flags_a_suite_does_not_take(capsys):
+    """A flag that the suite does not take ends the run with exit 2 and one
+    line naming the flags it does take."""
+    for argv, takes in ((("estim", "--seed", "1"), "it takes --smax"),
+                        (("mindeg", "--max-n", "5"), "it takes --seed --graphs"),
+                        (("pipeline", "--seed", "9"), "it takes --trials --n --d --k --s --seeds")):
+        code, out, err = run_cli(capsys, "lemma", *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert f"does not take {argv[1]}" in err and err.rstrip().endswith(takes), err
+    # --n 0 reaches the suite, which refuses it, rather than reading as unset
+    code, out, err = run_cli(capsys, "lemma", "path", "--n", "0")
+    assert code == 2 and out == "" and "n >= 1" in err
+
+
+def test_cli_lemma_flags_name_suite_parameters():
+    """Each lemma flag sets a parameter of some suite, so renaming a suite
+    parameter without its flag fails here."""
+    flags = cli.build_parser().parse_args(["lemma", "estim"]).suite_flags
+    params = {param for fn in suites.SUITES.values()
+              for param in inspect.signature(fn).parameters}
+    assert set(flags) <= params
+    assert all(lemma_flag(param) == flag for param, flag in flags.items())
 
 
 def test_cli_question_scan(capsys):
@@ -485,3 +582,38 @@ def test_cli_question_scan(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["violations"] == []
+
+
+def test_cli_question_scan_past_the_caps(capsys):
+    """A graph past the choosability cap gets its own row instead of ending
+    the scan, and one with no choosable s <= smax is labelled above_smax."""
+    code, out, _ = run_cli(capsys, "question", "q1", "--graphs", "5", "--max-n", "12",
+                           "--seed", "3", "--p", "1")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["inputs"] == {"count": 5, "max_n": 12, "p": 1, "seed": 3, "smax": 3}
+    rows = rep["result"]["rows"]
+    assert [(row["n"], row["status"]) for row in rows] == [
+        (4, "ok"), (6, "above_smax"), (11, "above_choosability_cap"), (1, "ok"), (5, "ok")]
+    for row in rows:
+        g = from_graph6(row["graph6"])
+        if row["status"] == "above_choosability_cap":
+            assert g.n > CHOOSABILITY_N_CAP
+        elif row["status"] == "above_smax":
+            assert choosability_value(g, STAR, 1, 3) is None
+
+
+def test_cli_question_q2_scan(capsys):
+    """q2 compares ch(star, 1) with (p + 1) ch(mad, p); each row agrees with
+    choosability_value called directly."""
+    code, out, _ = run_cli(capsys, "question", "q2", "--graphs", "6", "--max-n", "5",
+                           "--seed", "1", "--p", "1")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert [(row["n"], row["lhs"], row["rhs"], row["slack"]) for row in result["rows"]] == [
+        (2, 2, 2, 0), (1, 1, 2, 1), (4, 3, 4, 1), (2, 1, 2, 1), (4, 2, 2, 0), (1, 1, 2, 1)]
+    assert result["min_slack"] == 0 and result["violations"] == []
+    for row in result["rows"]:
+        g = from_graph6(row["graph6"])
+        assert row["lhs"] == choosability_value(g, STAR, 1, 3)
+        assert row["rhs"] == 2 * choosability_value(g, PARAMETERS["mad"], 1, 3)
