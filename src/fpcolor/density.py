@@ -23,6 +23,8 @@ d-core by d (Charikar's greedy peel, APPROX 2000).
   answers: densities of subsets of C have denominators at most k, so none
   lies strictly between the guess and t/2.  Forests, cycles and cliques,
   and path powers and k-trees on more than k(k+1) vertices, run no flow.
+  A class test (floor(mad) <= p, see ``params``) asks only about t = p + 1:
+  the bounds answer it, or that one step does.
 - ``max_density`` returns the whole mask with no flow when its density is
   d - d(d+1)/(2|mask|), which no subset exceeds (trees, k-trees, path
   powers, cliques).  Otherwise it iterates flows from the whole mask's
@@ -162,9 +164,11 @@ def exact_mad(g, mask=None):
     return 2 * dens
 
 
-def mad_floor(g, mask):
+def mad_floor(g, mask, cap=None, new=None):
     """floor of the maximum average degree of g[mask], as an int; 0 when
-    g[mask] has no edge."""
+    g[mask] has no edge.  With ``cap`` (see ``params``) the bounds answer
+    alone when they can, and otherwise one step at t = cap does; ``new`` is
+    not used."""
     core = core_numbers(g, mask)
     d = max(core.values(), default=0)
     if not d:
@@ -176,14 +180,20 @@ def mad_floor(g, mask):
         inside |= 1 << v
         lo = max(lo, twice_m // count)
     hi = min(2 * d - 1, max((g.adj[v] & mask).bit_count() for v in core))
-    while lo < hi:  # is there an S with 2|E(S)| >= t|S|?
-        t = (lo + hi + 1) // 2
+
+    def reaches(t):  # is there an S with 2|E(S)| >= t|S|?
         dense = mask_of(v for v, k in core.items() if 2 * k >= t)
         size = dense.bit_count()
         twice_mc = sum((g.adj[v] & dense).bit_count() for v in bits(dense))
         # such an S has s vertices, d(d+1)/(2d-t) <= s <= 2|E(dense)|/t
-        if (twice_mc // t) * (2 * d - t) >= d * (d + 1) and _denser_than(
-                g, dense, Fraction(t, 2) - Fraction(1, 2 * size + 1)):
+        return (twice_mc // t) * (2 * d - t) >= d * (d + 1) and _denser_than(
+            g, dense, Fraction(t, 2) - Fraction(1, 2 * size + 1))
+
+    if cap is not None:
+        return cap if lo < cap <= hi and reaches(cap) else lo
+    while lo < hi:
+        t = (lo + hi + 1) // 2
+        if reaches(t):
             lo = t
         else:
             hi = t - 1

@@ -315,6 +315,19 @@ def core_numbers(g, mask):
     return core
 
 
+def reach(g, start, within):
+    """The vertices of g[within] joined by a path to a vertex of ``start``
+    (a mask inside ``within``)."""
+    found = frontier = start
+    while frontier:
+        grow = 0
+        for v in bits(frontier):
+            grow |= g.adj[v]
+        frontier = grow & within & ~found
+        found |= frontier
+    return found
+
+
 def component_sizes(g, within=None):
     return [c.bit_count() for c in components(g, within)]
 
@@ -365,17 +378,18 @@ def class_masks(coloring):
 
 
 class ClassOracle(dict):
-    """``oracle[mask]`` is whether ``evaluate(g, mask) <= p``: may the vertex
-    set ``mask`` form one colour class.  Each mask is evaluated once; an
-    oracle belongs to one solve and is dropped with it.
+    """``oracle[mask]`` is ``allows(g, mask, p)``, such as
+    ``Parameter.allows``: may the vertex set ``mask`` form one colour class.
+    Each mask is tested once; an oracle belongs to one solve and is dropped
+    with it.
     """
 
-    def __init__(self, g, evaluate, p):
+    def __init__(self, g, allows, p):
         super().__init__()
-        self.g, self.evaluate, self.p = g, evaluate, p
+        self.g, self.allows, self.p = g, allows, p
 
     def __missing__(self, mask):
-        ok = self[mask] = self.evaluate(self.g, mask) <= self.p
+        ok = self[mask] = self.allows(self.g, mask, self.p)
         return ok
 
 

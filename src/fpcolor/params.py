@@ -8,6 +8,18 @@ inferred; the test suite falsifies wrong declarations at small scale.
 Conventions on degenerate inputs: every built-in evaluates to 0 on the
 null graph; fan of a single vertex is 1 and fan of any graph with an edge
 is at least 2 (an edge is a two-vertex fan).
+
+A colour class is admissible when f <= p, so every class test is a
+threshold question, and ``Parameter.allows`` is the one class test.  An
+evaluator flagged ``capped`` is called as ``evaluator(g, mask, cap, new)``:
+
+- with ``cap`` it may stop once it knows f >= cap; it then returns some
+  value >= cap, and otherwise some value < cap;
+- with ``new``, a vertex of ``mask``, the caller vouches that f of ``mask``
+  without ``new`` is below ``cap``, so only what ``new`` adds is checked.
+
+Called as ``evaluator(g, mask)`` it returns f exactly, which is what
+``eval`` and ``eval_mask`` report.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from typing import Callable
 
 from fpcolor import density
 from fpcolor.errors import CapExceeded
-from fpcolor.graph import ClassOracle, Graph, bits, components, find_coloring
+from fpcolor.graph import ClassOracle, Graph, bits, components, find_coloring, reach
 
 CHROMATIC_CAP = 24
 FAN_NEIGHBORHOOD_CAP = 20
@@ -31,6 +43,7 @@ class Parameter:
     monotone: bool
     bounds_avg_degree: bool
     evaluator: Callable = field(repr=False)
+    capped: bool = False  # the evaluator takes ``cap`` and ``new``
 
     def eval(self, g: Graph) -> int:
         return self.evaluator(g, g.full_mask())
@@ -38,6 +51,14 @@ class Parameter:
     def eval_mask(self, g: Graph, mask: int) -> int:
         """Value on the subgraph of g induced by the bitmask ``mask``."""
         return self.evaluator(g, mask)
+
+    def allows(self, g: Graph, mask: int, p: int, new=None) -> bool:
+        """Whether ``mask`` may form one colour class: f(g[mask]) <= p.  With
+        ``new``, a vertex of ``mask``, the caller vouches that ``mask``
+        without ``new`` may (a hint only capped evaluators use)."""
+        if self.capped:
+            return self.evaluator(g, mask, p + 1, new) <= p
+        return self.eval_mask(g, mask) <= p
 
     def traits(self):
         return {
@@ -58,43 +79,76 @@ def _star(g, mask):
     return max(c.bit_count() for c in components(g, mask))
 
 
-def _longest_path(g, mask):
-    """Number of vertices of a longest simple path inside g[mask]."""
-    if not mask:
+def _longest_path(g, mask, limit):
+    """min(limit, vertices of a longest simple path inside g[mask]).
+
+    Paths grow one vertex per round, each (vertex set, end) state once; the
+    last round only asks whether some path of ``limit - 1`` vertices extends.
+    """
+    if not mask or limit < 1:
         return 0
-    h = mask.bit_count()
-    if h > FAN_NEIGHBORHOOD_CAP:
-        raise CapExceeded(
-            f"fan: neighborhood of {h} vertices exceeds cap {FAN_NEIGHBORHOOD_CAP}")
     best = 1
     frontier = [(1 << v, v) for v in bits(mask)]
     seen = set(frontier)
-    while frontier:
+    while best < limit - 1:
         nxt = []
         for pmask, last in frontier:
-            ext = g.adj[last] & mask & ~pmask
-            for w in bits(ext):
+            for w in bits(g.adj[last] & mask & ~pmask):
                 state = (pmask | 1 << w, w)
                 if state not in seen:
                     seen.add(state)
                     nxt.append(state)
-        if nxt:
-            best += 1
+        if not nxt:
+            return best
+        best += 1
         frontier = nxt
+    if best < limit and any(g.adj[last] & mask & ~pmask for pmask, last in frontier):
+        return limit
     return best
 
 
-def _fan(g, mask):
+def _fan(g, mask, cap=None, new=None):
+    """1 + the longest path in a neighbourhood, over all centres in ``mask``.
+
+    With ``cap`` only fans of ``cap`` vertices are looked for: a path search
+    stops at ``cap - 1`` vertices, O(h^(cap-1)) states in a neighbourhood of
+    h vertices, and skips a neighbourhood of fewer.  With ``new`` only fans
+    through ``new`` can reach the cap: their centres lie in N[new], and at a
+    centre other than ``new`` the path lies in the component of ``new`` in
+    the neighbourhood.  Every neighbourhood is held to the cap first, so a
+    hint or an early answer never changes which inputs raise.
+    """
     if not mask:
         return 0
-    best = 1
-    for v in bits(mask):
+    if mask.bit_count() > FAN_NEIGHBORHOOD_CAP + 1:  # else no neighbourhood can exceed it
+        for v in bits(mask):
+            h = (g.adj[v] & mask).bit_count()
+            if h > FAN_NEIGHBORHOOD_CAP:
+                raise CapExceeded(
+                    f"fan: neighborhood of {h} vertices exceeds cap {FAN_NEIGHBORHOOD_CAP}")
+    if cap is None:  # search in full: no fan reaches this many vertices
+        cap, best = FAN_NEIGHBORHOOD_CAP + 2, 1
+    else:  # any answer below cap will do
+        best = max(cap - 1, 1)
+    for v in bits(mask if new is None else (g.adj[new] | 1 << new) & mask):
         nb = g.adj[v] & mask
-        best = max(best, 1 + _longest_path(g, nb))
+        if new is not None and v != new:  # a fan of cap vertices has new on its path
+            nb = reach(g, 1 << new, nb)
+        if nb.bit_count() >= best:  # else its fans have at most best vertices
+            best = max(best, 1 + _longest_path(g, nb, cap - 1))
+            if best >= cap:
+                break
     return best
 
 
-def _chromatic(g, mask):
+def _independent(g, mask, _p):
+    """Whether ``mask`` may be a class of a proper colouring."""
+    return not any(g.adj[v] & mask for v in bits(mask))
+
+
+def _chromatic(g, mask, cap=None, new=None):
+    """Least s with an s-colouring, between a greedy clique and a greedy
+    colouring; with ``cap`` no s past ``cap - 1`` is tried."""
     verts = list(bits(mask))
     k = len(verts)
     if k == 0:
@@ -118,9 +172,8 @@ def _chromatic(g, mask):
         colors[v] = next(c for c in range(k) if c not in taken)
     upper = max(colors.values()) + 1
 
-    # a class is an independent set: max degree 0 inside it
-    independent = ClassOracle(g, _max_degree, 0)
-    for s in range(clique, upper):
+    independent = ClassOracle(g, _independent, 0)
+    for s in range(clique, upper if cap is None else min(upper, cap)):
         if find_coloring(verts, s, independent) is not None:
             return s
     return upper
@@ -129,9 +182,9 @@ def _chromatic(g, mask):
 PARAMETERS = {
     "max-degree": Parameter("max-degree", True, True, True, True, _max_degree),
     "star": Parameter("star", True, True, True, True, _star),
-    "mad": Parameter("mad", True, True, True, True, density.mad_floor),
-    "fan": Parameter("fan", True, True, True, False, _fan),
-    "chromatic": Parameter("chromatic", True, True, True, False, _chromatic),
+    "mad": Parameter("mad", True, True, True, True, density.mad_floor, capped=True),
+    "fan": Parameter("fan", True, True, True, False, _fan, capped=True),
+    "chromatic": Parameter("chromatic", True, True, True, False, _chromatic, capped=True),
 }
 
 

@@ -3,9 +3,11 @@
 Everything here is deterministic: search ties break lowest-vertex-first and
 lowest-color-first, so certificates are reproducible bit for bit.
 
-``chi_fp`` and ``exists_L_coloring`` only set up calls to the one colouring
-backtracker, ``graph.find_coloring``.  Each solve builds one
-``graph.ClassOracle`` that evaluates ``f(class) <= p`` once per vertex set:
+Every class test is ``Parameter.allows``, which asks only whether
+f(class) <= p; exact values of f are left to reports.  ``chi_fp`` and
+``exists_L_coloring`` only set up calls to the one colouring backtracker,
+``graph.find_coloring``.  Each solve builds one ``graph.ClassOracle`` that
+tests each vertex set once:
 ``chi_fp`` shares it across every colour count it tries, and
 ``decide_choosability_fp`` across its whole adversary search, which tracks the
 feasible partial colourings itself instead of colouring each list system.
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from fpcolor.errors import CapExceeded
-from fpcolor.graph import ClassOracle, Graph, bits, class_masks, core_numbers, find_coloring
+from fpcolor.graph import (ClassOracle, Graph, bits, class_masks, core_numbers, find_coloring,
+                           reach)
 from fpcolor.params import Parameter
 
 CHOOSABILITY_N_CAP = 10
@@ -69,7 +72,7 @@ def verify_fp_proper(g: Graph, coloring, f: Parameter, p: int) -> bool:
     """True iff every color class induces a subgraph with f <= p."""
     if len(coloring) != g.n:
         raise ValueError("coloring must be total on V(G)")
-    return all(f.eval_mask(g, m) <= p for m in class_masks(coloring).values())
+    return all(f.allows(g, m, p) for m in class_masks(coloring).values())
 
 
 def _is_island(g, island, active, s):
@@ -137,7 +140,10 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
     deg - s + 1 neighbours inside it, so f is at least its value on that
     star, which ``cutoff`` (``star_cutoff(g, f, p)`` unless given) bounds.
     Only subtrees holding no island are skipped, so the island found is the
-    one the unpruned depth-first search finds first.
+    one the unpruned depth-first search finds first.  Every search node past
+    the anchor passed ``f.allows``, so growing it by u is tested with the
+    hint ``new = u``; the anchor alone was never tested, so its children
+    are tested whole.
     """
     if active is None:
         active = g.full_mask()
@@ -151,7 +157,7 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
     rejected = 0
     for v in bits(active & ~lower):
         if (g.adj[v] & active).bit_count() < s:
-            if f.eval_mask(g, 1 << v) <= p:
+            if f.allows(g, 1 << v, p):
                 return 1 << v
             rejected |= 1 << v
 
@@ -167,8 +173,9 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
             u = ext & -ext
             ext ^= u
             grown = island | u
-            if f.eval_mask(g, grown) <= p:
-                new_ext = (ext | (g.adj[u.bit_length() - 1] & active)) & ~grown & ~banned
+            w = u.bit_length() - 1
+            if f.allows(g, grown, p, new=w if island & (island - 1) else None):
+                new_ext = (ext | (g.adj[w] & active)) & ~grown & ~banned
                 found = search(grown, new_ext, banned)
                 if found:
                     return found
@@ -210,7 +217,7 @@ def col_fp(g: Graph, f: Parameter, p: int) -> ColResult:
     if g.n > COL_N_CAP:
         raise CapExceeded(f"col: n={g.n} exceeds cap {COL_N_CAP}")
     for v in range(g.n):
-        if f.eval_mask(g, 1 << v) > p:
+        if not f.allows(g, 1 << v, p):
             raise ValueError(
                 f"col undefined: f(single vertex {v}) > {p}, vertex can join no island"
             )
@@ -241,7 +248,7 @@ def chi_fp(g: Graph, f: Parameter, p: int):
         raise CapExceeded(f"chi: n={g.n} exceeds cap {CHI_N_CAP}")
     if g.n == 0:
         return 0, ()
-    allowed = ClassOracle(g, f.eval_mask, p)
+    allowed = ClassOracle(g, f.allows, p)
     for v in range(g.n):
         if not allowed[1 << v]:
             raise ValueError(f"chi undefined: f(single vertex {v}) > {p}")
@@ -256,7 +263,7 @@ def exists_L_coloring(g: Graph, L: ListAssignment, f: Parameter, p: int):
     """An (f,p)-proper coloring with colors drawn from L, or None."""
     if L.n != g.n:
         raise ValueError("list assignment domain mismatch")
-    return find_coloring(range(g.n), L.lists, ClassOracle(g, f.eval_mask, p), f.hereditary)
+    return find_coloring(range(g.n), L.lists, ClassOracle(g, f.allows, p), f.hereditary)
 
 
 def decide_choosability_fp(
@@ -305,7 +312,7 @@ def decide_choosability_fp(
     n, full, hereditary = g.n, g.full_mask(), f.hereditary
     project = hereditary and f.connected
     order = sorted(range(n), key=g.degree, reverse=True)
-    allowed = ClassOracle(g, f.eval_mask, p)
+    allowed = ClassOracle(g, f.allows, p)
     lists = [None] * n
     safe = set()
     touching = [0] * (n + 1)  # depth -> the vertices next to an unlisted one
@@ -318,17 +325,6 @@ def decide_choosability_fp(
             yield k, c >> k * n & full
             k += 1
 
-    def live_part(i, mask):
-        """The components of g[mask] next to an unlisted vertex at depth i."""
-        live = frontier = mask & touching[i]
-        while frontier:
-            grow = 0
-            for u in bits(frontier):
-                grow |= g.adj[u]
-            frontier = grow & mask & ~live
-            live |= frontier
-        return live
-
     def child(i, c, k):
         """Coloring c with vertex order[i] added to class k, as seen from
         depth i + 1, or None if that class is not allowed."""
@@ -339,8 +335,8 @@ def decide_choosability_fp(
         if project:
             near = g.adj[v] | 1 << v
             for j, m in classes(grown):
-                if m & near:
-                    grown ^= (m ^ live_part(i + 1, m)) << j * n
+                if m & near:  # keep the class's components next to an unlisted vertex
+                    grown ^= (m ^ reach(g, m & touching[i + 1], m)) << j * n
         return grown
 
     def usable(c, k, v):
@@ -474,7 +470,7 @@ def island_free_exhaustive(g: Graph, s: int, f: Parameter, p: int, active=None):
             low = rest & -rest
             island |= 1 << verts[low.bit_length() - 1]
             rest ^= low
-        if _is_island(g, island, active, s) and f.eval_mask(g, island) <= p:
+        if _is_island(g, island, active, s) and f.allows(g, island, p):
             return False
     return True
 
@@ -488,7 +484,7 @@ def verify_peel(g: Graph, islands, s: int, f: Parameter, p: int) -> bool:
             return False
         if not _is_island(g, island, active, s):
             return False
-        if f.eval_mask(g, island) > p:
+        if not f.allows(g, island, p):
             return False
         active &= ~island
     return active == 0

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from fpcolor import constructions as cons
 from fpcolor.errors import CapExceeded
-from fpcolor.graph import average_degree, bits, class_masks, to_graph6
+from fpcolor.graph import ClassOracle, average_degree, bits, class_masks, to_graph6
 from fpcolor.params import PARAMETERS
 from fpcolor.solvers import (
     CHOOSABILITY_N_CAP,
@@ -37,6 +37,7 @@ MAD = PARAMETERS["mad"]
 
 def random_graph_sample(count, max_n, seed, min_n=1):
     """Reproducible mixed-density random graphs, up to max_n vertices each."""
+    _at_least(min_n, max_n=max_n)
     rng = random.Random(seed)
     out = []
     for i in range(count):
@@ -49,6 +50,14 @@ def random_graph_sample(count, max_n, seed, min_n=1):
 def random_list_assignment(n, s, universe_size, rng):
     universe = list(range(universe_size))
     return list_assignment([frozenset(rng.sample(universe, s)) for _ in range(n)], s)
+
+
+def _at_least(bound, **sizes):
+    """Reject a size below ``bound``, named by its ``lemma`` flag: at such a
+    size a suite would check nothing and still pass."""
+    for name, value in sizes.items():
+        if value < bound:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {bound}, got {value}")
 
 
 def _counterexample(g, **extra):
@@ -71,6 +80,7 @@ def choosability_value(g, f, p, smax, cap_n=CHOOSABILITY_N_CAP):
 
 def suite_lemma1(graphs=300, max_n=9, trials=50, seed=0):
     """Greedy island coloring succeeds with col-many list colors."""
+    _at_least(1, graphs=graphs, trials=trials)
     sample = random_graph_sample(graphs, max_n, seed)
     rng = random.Random(f"{seed}:lists")
     failures = []
@@ -80,12 +90,13 @@ def suite_lemma1(graphs=300, max_n=9, trials=50, seed=0):
             for p in (1, 2):
                 res = col_fp(g, f, p)
                 s = res.value
+                allowed = ClassOracle(g, f.allows, p)  # the trials share most classes
                 for _ in range(trials):
                     L = random_list_assignment(g.n, s, s + 3, rng)
                     coloring = greedy_island_coloring(g, L, f, p, res.islands)
                     checks += 1
                     ok = all(coloring[v] in L.lists[v] for v in range(g.n))
-                    ok = ok and verify_fp_proper(g, coloring, f, p)
+                    ok = ok and all(allowed[m] for m in class_masks(coloring).values())
                     if not ok:
                         failures.append(
                             _counterexample(
@@ -112,6 +123,7 @@ def suite_lemma1(graphs=300, max_n=9, trials=50, seed=0):
 def suite_nofan(i_values=(2, 3), trials=10000, seed=0):
     """Both halves of the fan-join separation: no i-island of fan defect i,
     and 2-list colorability with no monochromatic fan above two vertices."""
+    _at_least(1, trials=trials)
     results = {}
     failures = []
     for i in i_values:
@@ -159,6 +171,7 @@ def suite_nofan(i_values=(2, 3), trials=10000, seed=0):
 
 def suite_addit(graphs=100, max_n=10, p_values=(1, 2), seed=0):
     """Chromatic number composes additively over (chromatic,p)-proper classes."""
+    _at_least(1, graphs=graphs)
     sample = random_graph_sample(graphs, max_n, seed)
     failures = []
     checks = 0
@@ -185,6 +198,7 @@ def suite_addit(graphs=100, max_n=10, p_values=(1, 2), seed=0):
 def suite_path(t_values=(1, 2, 3), trials=1000, seed=0, n=None):
     """Block coloring of path powers: monochromatic components <= 2t^2,
     plus exact island-number lower bounds on small path powers."""
+    _at_least(1, trials=trials)
     failures = []
     results = {}
     for t in t_values:
@@ -234,6 +248,7 @@ def suite_path(t_values=(1, 2, 3), trials=1000, seed=0, n=None):
 def suite_coldens(graphs=200, max_n=12, p_values=(1, 2, 3, 4), seed=0):
     """Average degree < 2(col + alpha) where alpha bounds densities of
     subgraphs on at most p vertices."""
+    _at_least(1, graphs=graphs)
     sample = random_graph_sample(graphs, max_n, seed)
     failures = []
     checks = 0
@@ -275,6 +290,7 @@ def _small_subgraph_density(g, p):
 
 def suite_mindeg(graphs=100, seed=0, k_values=(1, 2)):
     """Odd-girth component bound on named graphs and a random sample."""
+    _at_least(1, graphs=graphs)
     failures = []
     named = [(cons.cycle(5), 1), (cons.robertson(), 2)]
     results = {"named": [], "random_applicable": 0}
@@ -302,6 +318,7 @@ def suite_mindeg(graphs=100, seed=0, k_values=(1, 2)):
 
 def suite_estim(smax=12):
     """Exact rational check of the half-universe subset ratio bound."""
+    _at_least(1, smax=smax)
     rows = {}
     failures = []
     for s in range(1, smax + 1):

@@ -86,7 +86,7 @@ def brute_choosable(g, s, f, p):
     Each system is checked with the one colouring backtracker, which the
     solver tests hold to product enumeration.
     """
-    allowed = ClassOracle(g, f.eval_mask, p)
+    allowed = ClassOracle(g, lambda g, mask, p: f.eval_mask(g, mask) <= p, p)
     lists = [None] * g.n
 
     def rec(i, used):

@@ -215,14 +215,14 @@ def test_class_oracle_evaluates_each_mask_once():
         calls.append(mask)
         return mask.bit_count()
 
-    allowed = ClassOracle(cons.path(4), size, 2)
+    allowed = ClassOracle(cons.path(4), lambda g, mask, p: size(g, mask) <= p, 2)
     assert allowed[0b0011] and not allowed[0b0111] and allowed[0b0011]
     assert calls == [0b0011, 0b0111]
 
 
 def test_find_coloring_palettes():
     c5 = cons.cycle(5)
-    independent = ClassOracle(c5, lambda g, m: any(g.adj[v] & m for v in bits(m)), 0)
+    independent = ClassOracle(c5, lambda g, m, p: not any(g.adj[v] & m for v in bits(m)), 0)
     assert find_coloring(range(5), 2, independent) is None
     assert find_coloring(range(5), 3, independent) == (0, 1, 0, 1, 2)
     # colours follow the given vertex order; lists are tried in sorted order

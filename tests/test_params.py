@@ -349,6 +349,74 @@ def test_fan_cap():
         FAN.eval(cons.complete(22))
 
 
+def test_allows_agrees_with_the_exact_value():
+    """``allows`` answers f <= p as the exact value does, and so does its
+    hinted form wherever the hint's promise holds (f without ``new`` is at
+    most p), for every parameter on every graph of at most six vertices."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(167)
+    hinted = graphs = 0
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() > 6:
+            break
+        g = Graph(h.number_of_nodes(), h.edges())
+        graphs += 1
+        masks = {g.full_mask(), *(rng.getrandbits(g.n) for _ in range(6))}
+        for f in PARAMETERS.values():
+            value = {m: f.eval_mask(g, m) for m in range(1 << g.n)}
+            for mask, p in product(masks, range(5)):
+                assert f.allows(g, mask, p) == (value[mask] <= p), (g.edges(), f.id, mask, p)
+                for new in bits(mask):
+                    if value[mask & ~(1 << new)] <= p:
+                        hinted += 1
+                        assert f.allows(g, mask, p, new) == (value[mask] <= p), (
+                            g.edges(), f.id, mask, p, new)
+    assert graphs == 209 and hinted > 20000, hinted
+
+
+def test_fan_cap_raises_alike_in_every_form():
+    """Only the centre of K_{1,21} has a neighbourhood past the cap, and the
+    vertex 22 hangs off a leaf, out of the centre's reach: the exact, the
+    capped and the hinted fan raise the same error, and with one leaf fewer
+    none raises."""
+    message = "fan: neighborhood of 21 vertices exceeds cap 20"
+    for leaves, raises in ((21, True), (20, False)):
+        g = Graph(leaves + 2, [(0, leaf) for leaf in range(1, leaves + 1)] + [(1, leaves + 1)])
+        full = g.full_mask()
+        forms = (lambda: FAN.eval_mask(g, full), lambda: FAN.allows(g, full, 2),
+                 lambda: FAN.allows(g, full, 2, new=leaves + 1))
+        for form in forms:
+            if raises:
+                with pytest.raises(CapExceeded, match=message):
+                    form()
+            else:
+                form()
+        assert raises or FAN.eval_mask(g, full) == 2 and not FAN.allows(g, full, 1)
+
+
+def test_mad_cap_asks_one_threshold(monkeypatch):
+    """With a cap, floor(mad) runs at most one flow, at t = cap, and answers
+    on the right side of the cap."""
+    steps = []
+    denser_than = density._denser_than
+
+    def recorded(g, core, guess):
+        steps.append(int(2 * guess) + 1)
+        return denser_than(g, core, guess)
+
+    graphs = sample_graphs(300, 14, 179, min_n=4)
+    exact = [MAD.eval(g) for g in graphs]
+    monkeypatch.setattr(density, "_denser_than", recorded)
+    flows = 0
+    for g, value in zip(graphs, exact):
+        for cap in range(1, 7):
+            del steps[:]
+            assert (MAD.evaluator(g, g.full_mask(), cap) >= cap) == (value >= cap)
+            assert steps in ([], [cap])
+            flows += len(steps)
+    assert flows > 30, flows
+
+
 def test_chromatic_against_naive_oracle():
     def naive_chromatic(g):
         if g.n == 0:

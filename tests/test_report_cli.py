@@ -566,6 +566,20 @@ def test_cli_lemma_refuses_flags_a_suite_does_not_take(capsys):
     assert code == 2 and out == "" and "n >= 1" in err
 
 
+def test_cli_lemma_refuses_sizes_that_check_nothing(capsys):
+    """A size at which a suite would check nothing and still pass ends the
+    run with exit 2 and one line naming the flag and its bound."""
+    for argv, message in ((("lemma1", "--graphs", "-1"), "--graphs must be at least 1, got -1"),
+                          (("lemma1", "--trials", "0"), "--trials must be at least 1, got 0"),
+                          (("estim", "--smax", "0"), "--smax must be at least 1, got 0"),
+                          (("path", "--trials", "0"), "--trials must be at least 1, got 0"),
+                          (("mindeg", "--graphs", "0"), "--graphs must be at least 1, got 0"),
+                          (("coldens", "--graphs", "2", "--max-n", "0"),
+                           "--max-n must be at least 1, got 0")):
+        code, out, err = run_cli(capsys, "lemma", *argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n", (argv, err)
+
+
 def test_cli_lemma_flags_name_suite_parameters():
     """Each lemma flag sets a parameter of some suite, so renaming a suite
     parameter without its flag fails here."""

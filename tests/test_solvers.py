@@ -74,6 +74,25 @@ def test_find_island_matches_brute_existence():
                         assert (g.adj[v] & ~got).bit_count() < s
 
 
+def test_find_island_hints_change_nothing():
+    """The search hints each grown set with the vertex it added; a parameter
+    that drops the hint finds the same island, for fan, star and mad."""
+    rng = random.Random(181)
+    found = 0
+    for g in random_graph_sample(60, 10, 181, min_n=3):
+        for f in (FAN, STAR, PARAMETERS["mad"]):
+            evaluator = f.evaluator
+            blind = dataclasses.replace(
+                f, evaluator=lambda g, mask, *cap_new: evaluator(g, mask, *cap_new[:1]))
+            for p, s in product(range(1, 4), range(1, 4)):
+                for active in (g.full_mask(), rng.getrandbits(g.n)):
+                    island = find_island(g, s, f, p, active)
+                    assert island == find_island(g, s, blind, p, active), (g.edges(), f.id, p, s)
+                    assert island is None or f.eval_mask(g, island) <= p
+                    found += island is not None and island.bit_count() > 2
+    assert found > 200, found
+
+
 def test_peel_and_verify_peel():
     g = cons.petersen()
     islands, rest = peel(g, 4, STAR, 1)
