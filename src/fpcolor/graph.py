@@ -15,6 +15,7 @@ a per-solve memo of "may this vertex set form a class".
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 from collections import deque
 from fractions import Fraction
@@ -64,16 +65,14 @@ class Graph:
         return sum(a.bit_count() for a in self.adj) // 2
 
     def edges(self):
-        """Edges as sorted (u, v) pairs with u < v."""
+        """Edges as sorted (u, v) pairs with u < v, in O(n + m)."""
         out = []
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1)
-            w = u + 1
-            while rest:
-                if rest & 1:
-                    out.append((u, w))
-                rest >>= 1
-                w += 1
+        for u, row in enumerate(self.adj):
+            rest = row >> (u + 1) << (u + 1)
+            while rest:  # bits() inlined: every report hashes its graph's edges
+                low = rest & -rest
+                out.append((u, low.bit_length() - 1))
+                rest ^= low
         return out
 
     def has_edge(self, u, v):
@@ -178,32 +177,45 @@ def _g6_number(n):
     raise GraphError("graph6: order too large")
 
 
+#: graph6 payload bytes are 6-bit groups written as chr(63 + x); base64 writes
+#: the same groups in its own alphabet, so ``binascii`` packs whole rows at once
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6 = bytes(range(63, 127))
+_TO_G6 = bytes.maketrans(_B64, _G6)
+_FROM_G6 = bytes.maketrans(_G6, _B64)
+
+
 def to_graph6(g):
-    data = _g6_number(g.n)
-    bitbuf = []
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            bitbuf.append(col >> i & 1)
-    out = bytearray(data)
-    for k in range(0, len(bitbuf), 6):
-        chunk = bitbuf[k : k + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = val << 1 | b
-        out.append(val + 63)
-    return out.decode("ascii")
+    """graph6 text of ``g``: the upper triangle column by column (bit i of
+    column j says whether i < j are adjacent), in 6-bit groups, high bit
+    first, zero-padded.  Each column is one ``format`` of a masked adjacency
+    row, and the groups are encoded together by base64, so the work outside
+    C is O(n)."""
+    n = g.n
+    stream = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    groups = (len(stream) + 5) // 6
+    width = -len(stream) % 24 + len(stream)  # whole base64 quanta of 3 bytes
+    word = int(stream, 2) << (width - len(stream)) if stream else 0
+    payload = binascii.b2a_base64(word.to_bytes(width // 8, "big"), newline=False)
+    return (_g6_number(n) + payload[:groups].translate(_TO_G6)).decode("ascii")
 
 
 def from_graph6(text, name=""):
+    """Graph of graph6 ``text`` (str or bytes, optionally with the
+    ``>>graph6<<`` header); anything malformed raises GraphError."""
+    if isinstance(text, (bytes, bytearray)):
+        if not text.isascii():
+            raise GraphError("graph6: invalid character")
+        text = text.decode("ascii")
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[10:]
     if not s:
         raise GraphError("graph6: empty input")
-    raw = s.encode("ascii", errors="strict") if s.isascii() else None
-    if raw is None or any(c < 63 or c > 126 for c in raw):
+    if not s.isascii():
+        raise GraphError("graph6: invalid character")
+    raw = s.encode("ascii")
+    if raw.translate(None, _G6):
         raise GraphError("graph6: invalid character")
     if raw[0] == 126:
         if len(raw) < 4:
@@ -219,20 +231,20 @@ def from_graph6(text, name=""):
     need = (nbits + 5) // 6
     if len(body) != need:
         raise GraphError(f"graph6: expected {need} payload bytes, got {len(body)}")
-    bitstream = []
-    for c in body:
-        val = c - 63
-        for shift in range(5, -1, -1):
-            bitstream.append(val >> shift & 1)
-    if any(bitstream[nbits:]):
+    fill = -need % 4  # base64 decodes whole quanta of 4 groups
+    word = int.from_bytes(binascii.a2b_base64(body.translate(_FROM_G6) + b"A" * fill), "big")
+    stream = format(word >> 6 * fill, f"0{6 * need}b") if need else ""
+    if "1" in stream[nbits:]:
         raise GraphError("graph6: nonzero padding bits")
     edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bitstream[k]:
-                edges.append((i, j))
-            k += 1
+    k = stream.find("1")
+    j = end = 1  # column j is stream[end - j : end]
+    while k >= 0:
+        while k >= end:
+            j += 1
+            end += j
+        edges.append((k - end + j, j))
+        k = stream.find("1", k + 1)
     return Graph(n, edges, name=name)
 
 

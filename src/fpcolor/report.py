@@ -168,11 +168,15 @@ def verify_certificate(g: Graph, cert: dict) -> bool:
     if kind == "island_free":
         f = _parameter(cert)
         mask = _vertex_mask(g, cert["vertices"])
+        if not mask:
+            return False  # vacuously island-free, but a stuck peel leaves vertices
         try:
             return island_free_exhaustive(g, cert["s"], f, cert["p"], active=mask)
         except CapExceeded:
             raise CertificateError("lower certificate unverifiable at cap") from None
     if kind == "col":
+        if type(cert["value"]) is not int or cert["value"] < 1:
+            return False  # col is at least 1, on the null graph too
         upper = cert["upper"]
         if not verify_certificate(g, upper):
             return False

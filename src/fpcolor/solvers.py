@@ -449,30 +449,51 @@ def compose_bound(p: int, s: int, g_fn) -> int:
 def island_free_exhaustive(g: Graph, s: int, f: Parameter, p: int, active=None):
     """Definition-level check that g[active] contains NO s-island with f <= p.
 
-    Enumerates all nonempty subsets (not only connected ones) of the
+    Ranges over all nonempty subsets (not only connected ones) of the
     vertices left by ``excluded_core``, which lie in no island: a vertex of
     an island has at least deg - s + 1 neighbours in it, so f is at least
     its value on that star.  The cap counts the vertices left, so a
     certificate the core covers is accepted at any size.  Used to re-verify
     lower certificates without trusting solver internals.
+
+    The subsets are walked by including or excluding each candidate in
+    ascending order, carrying the island X chosen so far and the vertices
+    O known to lie outside it (at first the excluded core).  A vertex joins
+    X only while it has fewer than s neighbours in O and, for hereditary f,
+    only while f(X) <= p stays true (no superset of a set with f > p has
+    f <= p).  Putting a vertex in O cuts the branch once a vertex of X has s
+    neighbours in O, since O only grows.  At a leaf O is active minus X, so
+    a nonempty X is an s-island; for a non-hereditary f it is tested there
+    and only there.  No ``new`` hint is passed: no caller is trusted.
     """
     if active is None:
         active = g.full_mask()
-    verts = list(bits(active & ~excluded_core(g, s, active, star_cutoff(g, f, p))))
+    candidates = active & ~excluded_core(g, s, active, star_cutoff(g, f, p))
+    verts = list(bits(candidates))
     k = len(verts)
     if k > EXHAUSTIVE_ISLAND_CAP:
         raise CapExceeded(
             f"exhaustive island check: {k} vertices exceeds cap {EXHAUSTIVE_ISLAND_CAP}")
-    for sub in range(1, 1 << k):
-        island = 0
-        rest = sub
-        while rest:
-            low = rest & -rest
-            island |= 1 << verts[low.bit_length() - 1]
-            rest ^= low
-        if _is_island(g, island, active, s) and f.allows(g, island, p):
-            return False
-    return True
+    adj, hereditary = g.adj, f.hereditary
+
+    def walk(i, island, outside):
+        """Whether some completion of (island, outside) past verts[:i] is an
+        island with f <= p."""
+        if i == k:
+            return bool(island) and (hereditary or f.allows(g, island, p))
+        v = verts[i]
+        bit = 1 << v
+        if (adj[v] & outside).bit_count() < s:
+            grown = island | bit
+            if (not hereditary or f.allows(g, grown, p)) and walk(i + 1, grown, outside):
+                return True
+        outside |= bit
+        for w in bits(island & adj[v]):
+            if (adj[w] & outside).bit_count() >= s:
+                return False
+        return walk(i + 1, island, outside)
+
+    return not walk(0, 0, active & ~candidates)
 
 
 def verify_peel(g: Graph, islands, s: int, f: Parameter, p: int) -> bool:

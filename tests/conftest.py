@@ -76,6 +76,18 @@ def has_island_brute(g, s, f, p):
     return False
 
 
+def islands_brute(g, s, active):
+    """Every s-island of g[active]: each nonempty X inside ``active`` whose
+    vertices have fewer than s neighbours in ``active`` outside X."""
+    out = []
+    X = active
+    while X:
+        if all((g.adj[v] & active & ~X).bit_count() < s for v in bits(X)):
+            out.append(X)
+        X = (X - 1) & active
+    return out
+
+
 def brute_choosable(g, s, f, p):
     """(True, None), or (False, lists) for the first s-list assignment with no
     (f,p)-proper colouring from its lists.

@@ -100,6 +100,31 @@ def test_graph6_long_form():
     assert from_graph6(s) == g
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 62, 63, 64, 300])
+def test_graph6_matches_networkx(n):
+    """Byte-identical to networkx's encoder, and each decoder reads the
+    other's output; the order header takes its 4-byte form from n = 63."""
+    nx = pytest.importorskip("networkx")
+    for p in (0.0, 0.3, 1.0):
+        g = cons.random_gnp(n, p, n)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        text = to_graph6(g)
+        assert text.encode() + b"\n" == nx.to_graph6_bytes(h, header=False)
+        assert text.startswith("~") == (n >= 63)
+        assert from_graph6(text) == g
+        back = nx.from_graph6_bytes(text.encode())
+        assert back.number_of_nodes() == n
+        assert sorted(tuple(sorted(e)) for e in back.edges()) == g.edges()
+
+
+def test_edges_in_order():
+    g = cons.random_gnp(40, 0.3, 11)
+    assert g.edges() == [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                         if g.has_edge(u, v)]
+
+
 def test_graph6_errors():
     with pytest.raises(GraphError):
         from_graph6("")
@@ -109,6 +134,9 @@ def test_graph6_errors():
         from_graph6("Dhc!")  # invalid character
     with pytest.raises(GraphError):
         from_graph6("A" + chr(63 + 1))  # nonzero padding for n=2
+    with pytest.raises(GraphError):
+        from_graph6(b"D\xe9c")  # bytes are read as ASCII
+    assert from_graph6(b"Dhc\n") == cons.cycle(5)
 
 
 def test_induced_subgraph():

@@ -393,6 +393,42 @@ def test_cli_island_root_must_satisfy_f(capsys):
     assert rep["result"]["value"] is False and rep["certificate"] is None
 
 
+def _verify_tampered(tmp_path, capsys, report):
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(report))
+    return run_cli(capsys, "verify", str(path))
+
+
+def test_cli_verify_rejects_an_empty_lower_certificate(tmp_path, capsys):
+    """An empty vertex set is vacuously island-free, but proves no lower
+    bound: a stuck peel remainder is never empty."""
+    path = tmp_path / "col.json"
+    run_cli(capsys, "solve", "col", "--gen", "petersen", "--f", "star", "--p", "1",
+            "--out", str(path))
+    report = json.loads(path.read_text())
+    assert report["result"]["value"] == 4
+    cert = report["certificate"]
+    report["result"]["value"] = cert["value"] = cert["upper"]["s"] = 5
+    cert["lower"].update(s=4, vertices=[])
+    code, out, _ = _verify_tampered(tmp_path, capsys, report)
+    assert code == 1 and "INVALID" in out
+
+
+def test_cli_verify_rejects_col_below_one(tmp_path, capsys):
+    """col of the null graph is 1 by convention, so a col of 0 is refused."""
+    path = tmp_path / "col.json"
+    run_cli(capsys, "solve", "col", "--gen", "edgeless:0", "--f", "star", "--p", "1",
+            "--out", str(path))
+    assert run_cli(capsys, "verify", str(path))[0] == 0
+    report = json.loads(path.read_text())
+    cert = report["certificate"]
+    assert cert["value"] == 1 and cert["lower"] is None
+    for value in (0, -1):
+        report["result"]["value"] = cert["value"] = cert["upper"]["s"] = value
+        code, out, _ = _verify_tampered(tmp_path, capsys, report)
+        assert code == 1 and "INVALID" in out, value
+
+
 def test_cli_verifies_large_lower_certificate_by_excluded_core(tmp_path, capsys):
     """A lower certificate of 36 vertices, past the exhaustive cap of 16,
     verifies because the excluded core covers it."""

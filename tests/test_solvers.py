@@ -8,7 +8,8 @@ from itertools import product
 
 import pytest
 
-from conftest import brute_chi, brute_choosable, brute_col, has_island_brute, load_perfbench
+from conftest import (brute_chi, brute_choosable, brute_col, has_island_brute, islands_brute,
+                      load_perfbench)
 from fpcolor import constructions as cons
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import Graph, bits, mask_of
@@ -367,6 +368,60 @@ def test_island_free_exhaustive_on_masks():
     assert island_free_exhaustive(g, 1, STAR, 1)
     assert not island_free_exhaustive(g, 1, STAR, 4)
     assert island_free_exhaustive(g, 2, STAR, 1, active=mask_of([0, 1, 2]))
+
+
+def test_island_free_walk_against_subset_oracle():
+    """The pruned walk against every subset of g[active], on random graphs
+    whose core leaves 10 to 16 candidates, for every built-in parameter, the
+    non-connected ORDER and the non-hereditary ISOLATED, which the walk may
+    test only on whole islands."""
+    rng = random.Random(167)
+    every_f = [dataclasses.replace(f, evaluator=functools.cache(f.evaluator))
+               for f in (*PARAMETERS.values(), ORDER, ISOLATED)]
+    outcomes = Counter()
+    for _ in range(14):
+        n = rng.randint(10, 16)
+        g = cons.random_gnp(n, rng.uniform(0.15, 0.5), rng.getrandbits(32))
+        active = g.full_mask()
+        if rng.random() < 0.7:
+            active &= ~mask_of(v for v in range(n) if rng.random() < 0.15)
+        for s in (1, 2, 3):
+            by_size = sorted(islands_brute(g, s, active), key=int.bit_count)
+            for f in every_f:
+                for p in range(4):
+                    k = (active & ~excluded_core(g, s, active, star_cutoff(g, f, p))).bit_count()
+                    if k < 10:
+                        continue
+                    free = not any(f.eval_mask(g, m) <= p for m in by_size)
+                    assert island_free_exhaustive(g, s, f, p, active) == free, (
+                        g.edges(), active, f.id, p, s)
+                    outcomes[f.id, free] += 1
+                    outcomes[k] += 1
+    # the core rules out high-degree vertices for star, max-degree and ORDER,
+    # so with 10 or more candidates only the other parameters are island-free
+    assert all(outcomes[f.id, False] for f in every_f), outcomes
+    assert all(outcomes[f_id, True] for f_id in ("mad", "fan", "chromatic")), outcomes
+    assert outcomes[16] and outcomes[15], outcomes
+
+
+def test_island_free_walk_cuts_saturated_branches():
+    """Excluding a vertex cuts the branch once a chosen vertex has s
+    neighbours outside: on this 16-vertex lower certificate the walk makes
+    134 class tests, where a walk that checks the island condition only at
+    its leaves makes 1,233."""
+    calls = []
+
+    def counted(g, mask, cap=None, new=None):
+        calls.append(mask)
+        return PARAMETERS["mad"].evaluator(g, mask, cap, new)
+
+    mad = dataclasses.replace(PARAMETERS["mad"], evaluator=counted)
+    g = cons.random_gnp(16, 0.4, 3)
+    res = col_fp(g, mad, 2)
+    assert res.value == 3 and res.lower_certificate == g.full_mask()
+    calls.clear()
+    assert island_free_exhaustive(g, 2, mad, 2, res.lower_certificate)
+    assert len(calls) <= 200, len(calls)
 
 
 def _is_island_of(g, island, active, s):
