@@ -286,8 +286,18 @@ def decide_choosability_fp(
 
     * S empty: the prefix already defeats every coloring, and the remaining
       vertices take {0..s-1}, the first leaf of the subtree.
-    * The last vertex is decided directly: it is defeated by any s colors
-      that no coloring in S can give it, where all fresh colors are alike.
+    * The last two vertices v and w are settled together, with no state
+      set for w.  For each color k, a bitmask holds the colors w can take
+      in some coloring of S with v in class k, one bit standing for every
+      color that S leaves empty.  A list of v is safe iff the union of its
+      masks misses fewer than s of the colors in use after it, and not the
+      empty one; otherwise w's list is s missing colors, old ones first.
+      For hereditary f, c in S counts only if its class k takes v,
+      and w may join class j if class j of c (with v, if j = k) takes it.
+      This is exact: the state set the next level would build differs only
+      by dropping colorings whose classes contain another's, which reach no
+      more colors for w, and class components not next to w, which for
+      connected hereditary f leave every class test on w as it was.
     * A state proved to have no bad completion is memoised under a key that
       forgets what cannot matter below it.  For connected hereditary f each
       class keeps only its components next to an unlisted vertex (the others
@@ -300,6 +310,8 @@ def decide_choosability_fp(
     certificate is the first bad assignment of the enumeration, with lists
     mapped back to vertex ids.
     """
+    if min(cap_n, cap_s) < 0:
+        raise ValueError(f"choosability: a cap is negative (cap_n={cap_n}, cap_s={cap_s})")
     if g.n > cap_n:
         raise CapExceeded(f"choosability: n={g.n} exceeds cap {cap_n}")
     if s > cap_s:
@@ -308,10 +320,15 @@ def decide_choosability_fp(
         raise ValueError(f"choosability: list size s={s} is negative")
     if g.n == 0:
         return True, None
+    if g.n == 1:  # defeated only by an empty list or a vertex no class takes
+        if s and f.allows(g, 1, p):
+            return True, None
+        return False, ListAssignment((frozenset(range(s)),), s)
 
     n, full, hereditary = g.n, g.full_mask(), f.hereditary
     project = hereditary and f.connected
     order = sorted(range(n), key=g.degree, reverse=True)
+    v, w = order[-2:]  # the two vertices that ``settle`` decides together
     allowed = ClassOracle(g, f.allows, p)
     lists = [None] * n
     safe = set()
@@ -328,21 +345,16 @@ def decide_choosability_fp(
     def child(i, c, k):
         """Coloring c with vertex order[i] added to class k, as seen from
         depth i + 1, or None if that class is not allowed."""
-        v = order[i]
-        if hereditary and not allowed[(c >> k * n & full) | 1 << v]:
+        u = order[i]
+        if hereditary and not allowed[(c >> k * n & full) | 1 << u]:
             return None
-        grown = c | 1 << (v + k * n)
+        grown = c | 1 << (u + k * n)
         if project:
-            near = g.adj[v] | 1 << v
+            near = g.adj[u] | 1 << u
             for j, m in classes(grown):
                 if m & near:  # keep the class's components next to an unlisted vertex
                     grown ^= (m ^ reach(g, m & touching[i + 1], m)) << j * n
         return grown
-
-    def usable(c, k, v):
-        if hereditary:
-            return allowed[(c >> k * n & full) | 1 << v]
-        return all(allowed[m] for _, m in classes(c | 1 << (v + k * n)) if m)
 
     def minimal(colorings):
         if not project:  # colorings of one vertex set: none contains another
@@ -363,33 +375,70 @@ def decide_choosability_fp(
         return (i, *sorted(sum((c >> k * n & full) << j * n for j, k in enumerate(used))
                            for c in S))
 
-    def search(i, used, S):
-        if not S:
-            for v in order[i:]:
-                lists[v] = frozenset(range(s))
-            return True
-        v = order[i]
-        if i == n - 1:
-            unusable = [k for k in range(used) if not any(usable(c, k, v) for c in S)]
-            if len(unusable) >= s or not any(usable(c, used, v) for c in S):
-                old = unusable[:s]
-                lists[v] = frozenset(old) | frozenset(range(used, used + s - len(old)))
-                return True
-            return False
-        memo = key(i, S)
-        if memo in safe:
-            return False
-        children = [[d for c in S if (d := child(i, c, k)) is not None]
-                    for k in range(used + s)]
+    def candidates(used):
+        """The lists a vertex tries, in enumeration order, each with the
+        number of colors in use after it."""
         for fresh in range(s + 1):
             block = tuple(range(used, used + fresh))
             for old in combinations(range(used), s - fresh):
-                lst = old + block
+                yield old + block, used + fresh
+
+    def settle(used, S):
+        """Whether lists for v and w defeat every coloring in S, which holds
+        the colorings of all other vertices; if so they are written."""
+        empty = used + s  # the bit of every color empty in S
+        reachable = []  # color k of v -> the colors w can then take
+        if hereditary:
+            vbit, wbit = 1 << v, 1 << w
+            alone = ((2 << s) - 1) << used if allowed[wbit] else 0  # colors empty in S
+            # the colors w can take in c while v is in none of c's classes
+            beside = [alone | sum(allowed[c >> j * n & full | wbit] << j for j in range(used))
+                      for c in S]
+            for k in range(empty):
+                mask, kbit = 0, 1 << k
+                for c, colors in zip(S, beside):
+                    m = c >> k * n & full | vbit
+                    if allowed[m]:  # bit k is w joining v's class
+                        mask |= colors & ~kbit | allowed[m | wbit] << k
+                reachable.append(mask)
+        else:
+            for k in range(empty):
+                grown = [c | 1 << (v + k * n) for c in S]
+                reachable.append(sum(1 << j for j in range(empty + 1) if any(
+                    all(allowed[m] for _, m in classes(d | 1 << (w + j * n)) if m)
+                    for d in grown)))
+        for lst, now in candidates(used):
+            union = 0
+            for k in lst:
+                union |= reachable[k]
+            missing = [j for j in range(now) if not union >> j & 1]
+            if len(missing) >= s or not union >> empty & 1:
+                old = missing[:s]
                 lists[v] = frozenset(lst)
+                lists[w] = frozenset(old) | frozenset(range(now, now + s - len(old)))
+                return True
+        return False
+
+    def search(i, used, S):
+        if not S:
+            for u in order[i:]:
+                lists[u] = frozenset(range(s))
+            return True
+        memo = key(i, S)
+        if memo in safe:
+            return False
+        if i == n - 2:
+            if settle(used, S):
+                return True
+        else:
+            children = [[d for c in S if (d := child(i, c, k)) is not None]
+                        for k in range(used + s)]
+            for lst, now in candidates(used):
+                lists[order[i]] = frozenset(lst)
                 nxt = set()
                 for k in lst:
                     nxt.update(children[k])
-                if search(i + 1, used + fresh, minimal(nxt)):
+                if search(i + 1, now, minimal(nxt)):
                     return True
         safe.add(memo)
         return False

@@ -409,6 +409,8 @@ def question_scan(which, graphs, p, smax=3, cap_n=CHOOSABILITY_N_CAP):
     """Scan small graphs for violations of the clustered / mad choosability
     ratio conjectures; records slack, never claims a proof.  A graph past the
     choosability cap, or with no choosable s <= smax, gets a row status saying so."""
+    if cap_n < 0:
+        raise ValueError(f"choosability: a cap is negative (cap_n={cap_n})")
     if which == "q1":
         f, factor = STAR, p
     elif which == "q2":

@@ -6,6 +6,7 @@ no reliance on solver internals, so disagreements indict the solvers.
 
 import importlib.util
 import sys
+import types
 from itertools import combinations
 from pathlib import Path
 
@@ -115,6 +116,28 @@ def brute_choosable(g, s, f, p):
     if rec(0, 0):
         return False, tuple(lists)
     return True, None
+
+
+def count_calls(fn, inner, *args, **kwargs):
+    """``(fn(*args, **kwargs), calls)``: the calls made to the function named
+    ``inner`` that is defined inside ``fn``, counted by a profile hook on its
+    code object, so the code under test carries no counter."""
+    code = next(c for c in fn.__code__.co_consts
+                if isinstance(c, types.CodeType) and c.co_name == inner)
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return result, calls
 
 
 def load_perfbench(name):

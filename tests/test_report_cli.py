@@ -467,6 +467,18 @@ def test_cli_cap_exit_code(capsys):
     assert "cap" in err
 
 
+def test_cli_negative_choosability_caps_are_usage_errors(capsys):
+    for flag in ("--cap-choosability-n", "--cap-choosability-s"):
+        code, out, err = run_cli(capsys, "solve", "choosable", "--gen", "cycle:4", "--f",
+                                 "star", "--p", "1", "--s", "2", flag, "-5")
+        assert (code, out, err.count("\n")) == (2, "", 1) and "negative" in err, flag
+    # a negative cap once labelled every row above_choosability_cap and passed
+    for graphs in ("3", "0"):
+        code, out, err = run_cli(capsys, "question", "q1", "--graphs", graphs, "--max-n", "4",
+                                 "--cap-choosability-n", "-1")
+        assert (code, out, err.count("\n")) == (2, "", 1) and "negative" in err, graphs
+
+
 def test_cli_byte_identical_runs(capsys):
     args = ("solve", "col", "--gen", "gnp:8,0.4,7", "--f", "star", "--p", "1")
     _, first, _ = run_cli(capsys, *args)

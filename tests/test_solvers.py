@@ -2,14 +2,16 @@
 
 import dataclasses
 import functools
+import hashlib
+import json
 import random
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from conftest import (brute_chi, brute_choosable, brute_col, has_island_brute, islands_brute,
-                      load_perfbench)
+from conftest import (brute_chi, brute_choosable, brute_col, count_calls, has_island_brute,
+                      islands_brute, load_perfbench)
 from fpcolor import constructions as cons
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import Graph, bits, mask_of
@@ -249,6 +251,15 @@ def test_choosability_decisions():
     assert not ok and cert.lists == (frozenset(),) * 4
     with pytest.raises(ValueError):
         decide_choosability_fp(cons.cycle(4), -1, STAR, 1)
+    for caps in ({"cap_n": -1}, {"cap_s": -1}):
+        with pytest.raises(ValueError, match="negative"):
+            decide_choosability_fp(cons.cycle(4), 2, STAR, 1, **caps)
+    # one vertex: defeated only by the empty list, or when it is no class
+    assert decide_choosability_fp(Graph(1), 1, STAR, 1) == (True, None)
+    ok, cert = decide_choosability_fp(Graph(1), 0, STAR, 1)
+    assert not ok and cert.lists == (frozenset(),)
+    ok, cert = decide_choosability_fp(Graph(1), 2, STAR, 0)
+    assert not ok and cert.lists == (frozenset({0, 1}),)
 
 
 #: vertex count: hereditary, but the sum over components rather than the max
@@ -292,6 +303,36 @@ def test_choosability_matches_brute_enumeration():
             assert bad.lists == want_lists, (g.edges(), f.id, p, s)
     assert cases[1] + cases[2] > 350 and false_cases[1] + false_cases[2] > 100
     assert cases[3] == 64 and false_cases[3] > 5, (cases, false_cases)
+
+
+def test_choosability_certificates_pinned():
+    """Answers and certificates of 3,213 seeded decisions, hashed.  Covers
+    n <= 6 (s = 3 at n <= 5), every built-in parameter, ORDER and ISOLATED,
+    p = 0..2 and s = 0..3.  The hash was computed by the search of commit
+    19c1d3c, which still built a state set for the last vertex and decided
+    it alone, so settling the last two vertices together changed no output."""
+    every_f = (*PARAMETERS.values(), ORDER, ISOLATED)
+    decisions = []
+    for g in random_graph_sample(40, 6, 163):
+        for f in every_f:
+            for p in range(3):
+                for s in range(4 if g.n <= 5 else 3):
+                    ok, bad = decide_choosability_fp(g, s, f, p)
+                    decisions.append([ok, None if ok else [sorted(lst) for lst in bad.lists]])
+    text = json.dumps(decisions, separators=(",", ":"))
+    assert len(decisions) == 3213 and sum(not ok for ok, _ in decisions) == 1862
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0538c6b0e9077731337c1824ea1a4ad346c8c9038c48787a8763439e238fc91b")
+
+
+def test_choosability_search_work_bound():
+    """The last two vertices are settled from colour masks, with no search
+    call of their own: the two costliest benchmark decisions make 207 calls
+    each, where building a state set for the last vertex made 2,321 and
+    1,197."""
+    for g, f, p in ((cons.fan_join(2), FAN, 2), (cons.complete_bipartite(3, 3), MAX_DEGREE, 1)):
+        (ok, _), calls = count_calls(decide_choosability_fp, "search", g, 2, f, p)
+        assert ok and calls <= 300, (g.name, calls)
 
 
 def test_two_choosability_matches_erdos_rubin_taylor():
