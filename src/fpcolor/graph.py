@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import binascii
 import hashlib
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -137,7 +138,10 @@ def from_edge_list(text, name=""):
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            # int() alone would also take "1_0", "+1" and non-ASCII digits
+            if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
+                raise ValueError
+            u, v = int(parts[0]), int(parts[1])  # ValueError past int()'s digit limit
         except ValueError:
             raise GraphError(f"line {lineno}: non-integer vertex id in {raw!r}") from None
         if u < 0 or v < 0:

@@ -28,7 +28,7 @@ from itertools import combinations
 
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import (ClassOracle, Graph, bits, class_masks, core_numbers, find_coloring,
-                           reach)
+                           mask_of, reach)
 from fpcolor.params import Parameter
 
 CHOOSABILITY_N_CAP = 10
@@ -456,9 +456,11 @@ def greedy_island_coloring(g: Graph, L: ListAssignment, f: Parameter, p: int, is
     """(f,p)-proper L-coloring by reverse-peel greedy extension.
 
     Requires |L(v)| >= s where s admits a full peel (``islands``, the island
-    masks in removal order, or a fresh peel at s = L.s); islands are colored
-    latest-peeled first, each vertex taking its lowest list color unused on
-    already-colored neighbors outside its own island.
+    masks in removal order, or a fresh peel at s = L.s).  It is the plan of
+    that peel (``greedy_plan``) followed by one colouring from it
+    (``greedy_color``): islands are colored latest-peeled first, each vertex
+    taking its lowest list color unused on already-colored neighbors outside
+    its own island.  Colors are nonnegative ints.
     """
     if L.n != g.n:
         raise ValueError("list assignment domain mismatch")
@@ -470,18 +472,41 @@ def greedy_island_coloring(g: Graph, L: ListAssignment, f: Parameter, p: int, is
             raise ValueError(
                 f"list size {L.s} is below the island coloring number: peel got stuck"
             )
-    colors = [-1] * g.n
+    return greedy_color(greedy_plan(g, islands), [mask_of(lst) for lst in L.lists])
+
+
+def greedy_plan(g: Graph, islands):
+    """The part of greedy island colouring that depends only on the peel:
+    ``(v, blockers)`` pairs in colouring order, islands latest-peeled first and
+    ascending inside one, where ``blockers`` masks the neighbours of v that
+    are coloured before it and lie outside its island."""
+    plan = []
     colored = 0
     for island in reversed(islands):
         for v in bits(island):
-            forbidden = {colors[w] for w in bits(g.adj[v] & colored & ~island)}
-            for c in sorted(L.lists[v]):
-                if c not in forbidden:
-                    colors[v] = c
-                    break
-            else:
-                raise ValueError(f"no available list color at vertex {v}")
+            plan.append((v, g.adj[v] & colored & ~island))
         colored |= island
+    return plan
+
+
+def greedy_color(plan, lists):
+    """Colour one list system from a ``greedy_plan``: ``lists[v]`` is the
+    bitmask of v's colours, and v takes the lowest of them whose class so far
+    misses v's blockers.  Returns the colours as a tuple indexed by vertex."""
+    colors = [-1] * len(lists)
+    classes = [0] * max(lists, default=0).bit_length()  # colour -> vertex mask
+    for v, blockers in plan:
+        free = lists[v]
+        while free:
+            low = free & -free
+            c = low.bit_length() - 1
+            if not classes[c] & blockers:
+                break
+            free ^= low
+        else:
+            raise ValueError(f"no available list color at vertex {v}")
+        colors[v] = c
+        classes[c] |= 1 << v
     return tuple(colors)
 
 

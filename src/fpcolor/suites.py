@@ -14,7 +14,7 @@ from itertools import combinations
 
 from fpcolor import constructions as cons
 from fpcolor.errors import CapExceeded
-from fpcolor.graph import ClassOracle, average_degree, bits, class_masks, to_graph6
+from fpcolor.graph import ClassOracle, average_degree, bits, class_masks, mask_of, to_graph6
 from fpcolor.params import PARAMETERS
 from fpcolor.solvers import (
     CHOOSABILITY_N_CAP,
@@ -23,7 +23,8 @@ from fpcolor.solvers import (
     compose_bound,
     decide_choosability_fp,
     find_island,
-    greedy_island_coloring,
+    greedy_color,
+    greedy_plan,
     list_assignment,
     verify_fp_proper,
 )
@@ -47,9 +48,36 @@ def random_graph_sample(count, max_n, seed, min_n=1):
     return out
 
 
+def draw_lists(n, s, u, rng):
+    """n random s-subsets of the colours 0..u-1, as colour bitmasks.
+
+    Each list is a partial Fisher-Yates shuffle of range(u) driven by
+    ``rng.getrandbits`` with rejection.  These are the draws, from the same
+    random bits, that CPython's ``rng.sample(range(u), s)`` makes whenever it
+    shuffles a pool, which it does for u <= 21 and for u <= 3s + 21: for every
+    caller here, where u is s + 3 or 4.
+    """
+    if not 0 <= s <= u:
+        raise ValueError(f"cannot draw {s} of {u} colours")
+    getrandbits = rng.getrandbits
+    steps = [(left, left.bit_length()) for left in range(u, u - s, -1)]
+    colours = [1 << c for c in range(u)]
+    out = []
+    for _ in range(n):
+        pool = colours[:]  # pool[:left] holds the colours not drawn yet
+        lst = 0
+        for left, k in steps:
+            j = getrandbits(k)
+            while j >= left:
+                j = getrandbits(k)
+            lst |= pool[j]
+            pool[j] = pool[left - 1]
+        out.append(lst)
+    return out
+
+
 def random_list_assignment(n, s, universe_size, rng):
-    universe = list(range(universe_size))
-    return list_assignment([frozenset(rng.sample(universe, s)) for _ in range(n)], s)
+    return list_assignment([bits(lst) for lst in draw_lists(n, s, universe_size, rng)], s)
 
 
 def _at_least(bound, **sizes):
@@ -90,13 +118,15 @@ def suite_lemma1(graphs=300, max_n=9, trials=50, seed=0):
             for p in (1, 2):
                 res = col_fp(g, f, p)
                 s = res.value
+                plan = greedy_plan(g, res.islands)  # greedy_island_coloring, once per peel
                 allowed = ClassOracle(g, f.allows, p)  # the trials share most classes
-                for _ in range(trials):
-                    L = random_list_assignment(g.n, s, s + 3, rng)
-                    coloring = greedy_island_coloring(g, L, f, p, res.islands)
+                draws = draw_lists(trials * g.n, s, s + 3, rng)  # trial after trial
+                for t in range(trials):
+                    lists = draws[t * g.n:(t + 1) * g.n]
+                    coloring = greedy_color(plan, lists)
                     checks += 1
-                    ok = all(coloring[v] in L.lists[v] for v in range(g.n))
-                    ok = ok and all(allowed[m] for m in class_masks(coloring).values())
+                    ok = all(c >= 0 and lst >> c & 1 for lst, c in zip(lists, coloring))
+                    ok = ok and all(map(allowed.__getitem__, class_masks(coloring).values()))
                     if not ok:
                         failures.append(
                             _counterexample(
@@ -104,7 +134,7 @@ def suite_lemma1(graphs=300, max_n=9, trials=50, seed=0):
                                 f=f.id,
                                 p=p,
                                 s=s,
-                                lists=[sorted(lst) for lst in L.lists],
+                                lists=[list(bits(lst)) for lst in lists],
                                 coloring=list(coloring),
                             )
                         )
@@ -144,13 +174,14 @@ def suite_nofan(i_values=(2, 3), trials=10000, seed=0):
             rng = random.Random(f"{seed}:nofan:{i}")
             pathlen = i * i
             p_graph = cons.path(pathlen)
+            allowed = ClassOracle(g, FAN.allows, 2)  # the trials share most classes
             bad_trials = 0
             for _ in range(trials):
                 L = random_list_assignment(g.n, 2, 4, rng)
                 sub = list_assignment(L.lists[:pathlen], 2)
                 path_colors = cons.color_path_nonmono(p_graph, sub)
                 colors = list(path_colors) + [min(L.lists[v]) for v in range(pathlen, g.n)]
-                if not verify_fp_proper(g, tuple(colors), FAN, 2):
+                if not all(map(allowed.__getitem__, class_masks(colors).values())):
                     bad_trials += 1
                     failures.append(
                         _counterexample(
@@ -256,8 +287,9 @@ def suite_coldens(graphs=200, max_n=12, p_values=(1, 2, 3, 4), seed=0):
         if g.n == 0:
             continue
         avg = average_degree(g)
+        densities = _small_subgraph_densities(g, max(p_values, default=0))
         for p in p_values:
-            alpha = _small_subgraph_density(g, p)
+            alpha = densities[max(p, 0)]
             value = col_fp(g, STAR, p).value
             checks += 1
             if avg >= 2 * (value + alpha):
@@ -274,18 +306,19 @@ def suite_coldens(graphs=200, max_n=12, p_values=(1, 2, 3, 4), seed=0):
     }
 
 
-def _small_subgraph_density(g, p):
-    """Max |E(H)|/|V(H)| over nonempty induced H with at most p vertices."""
-    best = Fraction(0)
-    verts = range(g.n)
-    for size in range(1, min(p, g.n) + 1):
-        for combo in combinations(verts, size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
+def _small_subgraph_densities(g, pmax):
+    """Entry k is max |E(H)|/|V(H)| over nonempty induced H with at most k
+    vertices (0 when there is none), for k = 0..pmax."""
+    edges, size = 0, 1  # the densest H so far, as a ratio
+    out = [Fraction(0)]
+    for k in range(1, pmax + 1):
+        for combo in combinations(range(g.n), k):
+            mask = mask_of(combo)
             inner = sum((g.adj[v] & mask).bit_count() for v in combo) // 2
-            best = max(best, Fraction(inner, size))
-    return best
+            if inner * size > edges * k:
+                edges, size = inner, k
+        out.append(Fraction(edges, size))
+    return out
 
 
 def suite_mindeg(graphs=100, seed=0, k_values=(1, 2)):

@@ -118,6 +118,26 @@ def brute_choosable(g, s, f, p):
     return True, None
 
 
+def greedy_per_call(g, lists, islands):
+    """Greedy island colouring as one call per list system: islands
+    latest-peeled first, each vertex taking its lowest list colour unused on
+    the neighbours coloured before it outside its own island, worked out
+    afresh for every vertex."""
+    colors = [-1] * g.n
+    colored = 0
+    for island in reversed(islands):
+        for v in bits(island):
+            forbidden = {colors[w] for w in bits(g.adj[v] & colored & ~island)}
+            for c in sorted(lists[v]):
+                if c not in forbidden:
+                    colors[v] = c
+                    break
+            else:
+                raise ValueError(f"no available list color at vertex {v}")
+        colored |= island
+    return tuple(colors)
+
+
 def count_calls(fn, inner, *args, **kwargs):
     """``(fn(*args, **kwargs), calls)``: the calls made to the function named
     ``inner`` that is defined inside ``fn``, counted by a profile hook on its

@@ -3,7 +3,7 @@ parser's own error, never in another exception."""
 
 import pytest
 
-from fpcolor.graph import Graph, GraphError, from_graph6, to_graph6
+from fpcolor.graph import Graph, GraphError, from_edge_list, from_graph6, to_edge_list, to_graph6
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -35,3 +35,26 @@ def test_from_graph6_returns_a_graph_or_raises_graph_error(data):
     text = data.decode("ascii") if isinstance(data, bytes) else data
     text = text.strip()
     assert to_graph6(g) == text.removeprefix(">>graph6<<")
+
+
+#: edges with no self-loop, then up to two lines of id-like or arbitrary text,
+#: so that many inputs parse
+near_edge_list = st.builds(
+    lambda edges, extra: "\n".join(edges + extra),
+    st.lists(st.tuples(st.integers(0, 12), st.integers(1, 12))
+             .map(lambda e: f"{e[0]} {e[0] + e[1]}"), max_size=12),
+    st.lists(st.one_of(st.text(st.sampled_from("0123456789-_+ #\t\u0661x"), max_size=8),
+                       st.text(max_size=8)), max_size=2),
+)
+
+
+@FUZZ
+@hypothesis.given(st.one_of(st.text(), near_edge_list))
+def test_from_edge_list_returns_a_graph_or_raises_graph_error(text):
+    try:
+        g = from_edge_list(text)
+    except GraphError:
+        return
+    assert isinstance(g, Graph)
+    # every vertex lies on an edge, so the edge list gives the graph back
+    assert from_edge_list(to_edge_list(g)) == g

@@ -76,6 +76,11 @@ def test_edge_list_errors():
         from_edge_list("3 3\n")
     with pytest.raises(GraphError):
         from_edge_list("-1 2\n")
+    # int() reads both as plain numbers: (0, 10) and (0, 1)
+    with pytest.raises(GraphError, match="non-integer vertex id"):
+        from_edge_list("0 1_0\n")
+    with pytest.raises(GraphError, match="non-integer vertex id"):
+        from_edge_list("0 \u0661\n")  # ARABIC-INDIC DIGIT ONE
 
 
 def test_graph6_known_values():

@@ -6,12 +6,13 @@ import hashlib
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from conftest import (brute_chi, brute_choosable, brute_col, count_calls, has_island_brute,
-                      islands_brute, load_perfbench)
+from conftest import (brute_chi, brute_choosable, brute_col, count_calls, greedy_per_call,
+                      has_island_brute, islands_brute, load_perfbench)
 from fpcolor import constructions as cons
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import Graph, bits, mask_of
@@ -26,7 +27,9 @@ from fpcolor.solvers import (
     excluded_core,
     exists_L_coloring,
     find_island,
+    greedy_color,
     greedy_island_coloring,
+    greedy_plan,
     island_free_exhaustive,
     list_assignment,
     peel,
@@ -34,7 +37,9 @@ from fpcolor.solvers import (
     verify_fp_proper,
     verify_peel,
 )
-from fpcolor.suites import choosability_value, random_graph_sample, random_list_assignment
+from fpcolor import suites
+from fpcolor.suites import (_small_subgraph_densities, choosability_value, draw_lists,
+                            random_graph_sample, random_list_assignment, suite_lemma1)
 
 STAR = PARAMETERS["star"]
 MAX_DEGREE = PARAMETERS["max-degree"]
@@ -392,6 +397,77 @@ def test_greedy_island_coloring_rejects_short_lists():
 def test_greedy_island_coloring_domain_mismatch():
     with pytest.raises(ValueError):
         greedy_island_coloring(cons.path(3), list_assignment([{0}]), STAR, 1)
+
+
+def test_greedy_plan_matches_per_call_greedy():
+    """One plan per peel, then one colouring per list system, colours exactly
+    as the greedy that works out each vertex's blockers on every call."""
+    rng = random.Random(137)
+    compared = 0
+    for g in random_graph_sample(30, 8, 137):
+        for f in PARAMETERS.values():
+            for p in range(3):
+                try:
+                    res = col_fp(g, f, p)
+                except ValueError:  # f(single vertex) > p: col is undefined
+                    continue
+                plan = greedy_plan(g, res.islands)
+                for u in (res.value, res.value + 3, 12):
+                    lists = draw_lists(g.n, res.value, u, rng)
+                    want = greedy_per_call(g, [list(bits(lst)) for lst in lists], res.islands)
+                    assert greedy_color(plan, lists) == want
+                    L = list_assignment([bits(lst) for lst in lists])
+                    assert greedy_island_coloring(g, L, f, p, res.islands) == want
+                    compared += 1
+    assert compared > 1000
+
+
+def test_draw_lists_makes_the_draws_of_random_sample():
+    """Same lists and same generator state as ``rng.sample(range(u), s)``, for
+    every u <= 21 and 1 <= s <= u, and for u = s + 3 up to s = 64."""
+    cases = [(u, s) for u in range(1, 22) for s in range(1, u + 1)]
+    cases += [(s + 3, s) for s in range(19, 65)]
+    for seed in range(20):
+        for u, s in cases:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            lists = draw_lists(3, s, u, ours)
+            assert lists == [mask_of(theirs.sample(range(u), s)) for _ in range(3)]
+            assert ours.getstate() == theirs.getstate()
+    assert draw_lists(4, 0, 0, random.Random(0)) == [0] * 4
+    with pytest.raises(ValueError):
+        draw_lists(1, 3, 2, random.Random(0))
+
+
+def test_lemma1_colorings_pinned():
+    """Every colouring ``suite_lemma1(graphs=60, trials=20)`` checks, hashed in
+    order.  The hash was computed at commit 10a99e5, which drew each list with
+    ``random.sample`` and ran the per-call greedy on every trial."""
+    digest = hashlib.sha256()
+    class_masks = suites.class_masks
+
+    def recording(coloring):  # the suite's own check sees every colouring
+        digest.update(repr(tuple(coloring)).encode())
+        return class_masks(coloring)
+
+    suites.class_masks = recording
+    try:
+        res = suite_lemma1(graphs=60, trials=20)
+    finally:
+        suites.class_masks = class_masks
+    assert res["passed"] and res["checks"] == 4800
+    assert digest.hexdigest() == (
+        "36cd9164fc3eb2c469f71b92012fd03f1ded7b6b921bb5fc837e6c004234f69a")
+
+
+def test_small_subgraph_densities_against_definition():
+    for g in random_graph_sample(30, 7, 139):
+        want = [Fraction(0)] * 6
+        for mask in range(1, 1 << g.n):
+            k = mask.bit_count()
+            inner = sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
+            for at_most in range(k, 6):
+                want[at_most] = max(want[at_most], Fraction(inner, k))
+        assert _small_subgraph_densities(g, 5) == want
 
 
 def test_compose_bound():
