@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
+import json
 import sys
 import time
 
@@ -143,7 +144,7 @@ def cmd_solve(args):
                                          cap_n=args.cap_choosability_n,
                                          cap_s=args.cap_choosability_s)
         result = {"op": "choosable", "f": f.id, "p": p, "s": args.s, "value": ok}
-        cert = None if ok else rep.assignment_to_json(bad, f.id, p)
+        cert = None if ok else rep.assignment_to_json(bad, args.s, f.id, p)
     elif args.op == "island":
         if args.s is None:
             raise GraphError("island requires --s")
@@ -183,9 +184,9 @@ def cmd_adversary(args):
         "d": args.d,
         "seed": args.seed,
         "B": sorted(bits(state.B)),
-        "L0": {str(v): sorted(state.L0[v]) for v in bits(state.B)},
+        "L0": {str(v): list(bits(state.L0[v])) for v in bits(state.B)},
         "A": sorted(bits(state.A)),
-        "L1": {str(v): sorted(state.L1[v]) for v in bits(state.A)},
+        "L1": {str(v): list(bits(state.L1[v])) for v in bits(state.A)},
         "condition_report": state.condition_report,
     }
     status = "exact" if state.condition_report["c"] is True else "estimate"
@@ -208,9 +209,11 @@ def cmd_adversary(args):
 
 def cmd_verify(args):
     with open(args.report) as fh:
-        import json
-
-        loaded = json.load(fh)
+        try:
+            loaded = json.load(fh)
+        except RecursionError:  # nested deeper than the JSON decoder goes
+            print("verify: malformed report: nested too deeply", file=sys.stderr)
+            return EXIT_FAIL
     try:
         ok = rep.verify_report(loaded)
     except rep.CertificateError as exc:
@@ -238,10 +241,13 @@ def cmd_lemma(args):
 
 
 def cmd_question(args):
+    if args.cap_choosability_n < 0:  # refused first, whatever the sample holds
+        raise ValueError(f"choosability: a cap is negative (cap_n={args.cap_choosability_n})")
     inputs = {"p": args.p, "smax": args.smax}
     if args.gen or args.graph:
         graphs = [load_graph(args)]
     else:
+        suites._at_least(1, graphs=args.graphs)
         graphs = suites.random_graph_sample(args.graphs, args.max_n, args.seed)
         inputs.update(seed=args.seed, max_n=args.max_n)
     result = suites.question_scan(args.q, graphs, args.p, smax=args.smax,

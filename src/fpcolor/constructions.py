@@ -3,6 +3,10 @@
 All randomness flows through explicit seeds (random.Random), so every
 sampler is pure given its seed and identical seeds reproduce identical
 objects bit for bit.
+
+A colour list is an int bitmask, bit c standing for colour c: the list
+colourings take a sequence of them indexed by vertex, and the adversary
+pipeline keeps its lists L0 and L1 as dicts from vertex to mask.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from fpcolor import density
-from fpcolor.graph import Graph, average_degree, bits, class_masks, component_sizes, girth
-from fpcolor.solvers import ListAssignment
+from fpcolor.graph import (Graph, average_degree, bits, class_masks, component_sizes, girth,
+                           mask_of)
 
 GOOD_VERTICES_EXACT_S_CAP = 3
 DOMINATION_EXACT_CAP = 10**6
@@ -118,33 +122,29 @@ def random_bipartite(n, d, seed):
 # -- list colorings for paths and path powers ----------------------------------
 
 
-def color_path_nonmono(path_graph, L: ListAssignment):
-    """Greedy left-to-right L-coloring of a path with no monochromatic edge."""
-    n = path_graph.n
-    if L.n != n:
-        raise ValueError("list assignment domain mismatch")
-    for v in range(n):
-        expected = 0
-        if v > 0:
-            expected |= 1 << (v - 1)
-        if v < n - 1:
-            expected |= 1 << (v + 1)
-        if path_graph.adj[v] != expected:
-            raise ValueError("graph is not a path in vertex order")
-    if any(len(lst) < 2 for lst in L.lists):
+def _need_pairs(lists):
+    """Refuse a list system with a list of fewer than two colours."""
+    if any(lst.bit_count() < 2 for lst in lists):
         raise ValueError("need lists of size at least 2")
+
+
+def color_path_nonmono(lists):
+    """Greedy left-to-right coloring of the path 0..n-1 from ``lists`` with
+    no monochromatic edge: each vertex takes its lowest color that differs
+    from its left neighbour's."""
+    _need_pairs(lists)
     colors = []
-    for v in range(n):
-        options = sorted(L.lists[v])
-        if v == 0:
-            colors.append(options[0])
-        else:
-            colors.append(next(c for c in options if c != colors[v - 1]))
+    avoid = 0
+    for lst in lists:
+        c = next(bits(lst & ~avoid))
+        colors.append(c)
+        avoid = 1 << c
     return tuple(colors)
 
 
-def block_color_path_power(n, t, L: ListAssignment):
-    """Block coloring of P_n^t guaranteeing monochromatic components <= 2t^2.
+def block_color_path_power(n, t, lists):
+    """Block coloring of P_n^t from ``lists`` guaranteeing monochromatic
+    components <= 2t^2.
 
     The vertex range is padded to a multiple of t(t+1) (the analysis assumes
     divisibility); padded vertices get throwaway lists and are dropped from
@@ -152,22 +152,20 @@ def block_color_path_power(n, t, L: ListAssignment):
     into t-tuples T_0..T_t: T_0 is colored lowest-color-first, and T_i
     (i >= 1) avoids the color given to the i-th vertex of T_0.
     """
-    if L.n != n:
+    if len(lists) != n:
         raise ValueError("list assignment domain mismatch")
-    if any(len(lst) < 2 for lst in L.lists):
-        raise ValueError("need lists of size at least 2")
+    _need_pairs(lists)
     block = t * (t + 1)
     padded = ((n + block - 1) // block) * block
-    lists = list(L.lists) + [frozenset((0, 1))] * (padded - n)
+    lists = list(lists) + [0b11] * (padded - n)
     colors = [-1] * padded
     for start in range(0, padded, block):
-        t0 = range(start, start + t)
-        for v in t0:
-            colors[v] = min(lists[v])
+        for v in range(start, start + t):
+            colors[v] = next(bits(lists[v]))
         for i in range(1, t + 1):
-            forbidden = colors[start + i - 1]
+            others = ~(1 << colors[start + i - 1])
             for v in range(start + i * t, start + (i + 1) * t):
-                colors[v] = next(c for c in sorted(lists[v]) if c != forbidden)
+                colors[v] = next(bits(lists[v] & others))
     return tuple(colors[:n])
 
 
@@ -192,9 +190,9 @@ def estim_ratio(s):
 @dataclass
 class AdversaryState:
     B: int  # vertex bitmask
-    L0: dict  # vertex -> frozenset, on B
+    L0: dict  # vertex -> colour mask, on B
     A: int  # vertex bitmask of good vertices
-    L1: dict  # vertex -> frozenset, on A
+    L1: dict  # vertex -> colour mask, on A
     condition_report: dict
 
 
@@ -218,7 +216,7 @@ def sample_B_L0(g, s, k, d, seed):
     for v in range(g.n):
         if rng.random() < prob:
             B |= 1 << v
-            L0[v] = frozenset(rng.sample(universe, s))
+            L0[v] = mask_of(rng.sample(universe, s))
     return B, L0
 
 
@@ -228,23 +226,24 @@ def good_vertices(g, B, L0, s, k, trials=200, seed=0):
 
     Returns (mask, exact_flag).  Every subset T is checked iff
     s <= GOOD_VERTICES_EXACT_S_CAP; past it ``trials`` random subsets are, so
-    the result is a superset candidate.
+    the result is a superset candidate.  Subsets are colour masks: a list
+    lies inside T iff it has no colour outside it.
     """
     universe = range(s * s)
     half = (s * s + 1) // 2
     need = k * s * s
     exact = s <= GOOD_VERTICES_EXACT_S_CAP
     if exact:
-        subsets = [frozenset(T) for T in combinations(universe, half)]
+        subsets = [mask_of(T) for T in combinations(universe, half)]
     else:
         rng = random.Random(seed)
-        subsets = [frozenset(rng.sample(list(universe), half)) for _ in range(trials)]
+        subsets = [mask_of(rng.sample(list(universe), half)) for _ in range(trials)]
     A = 0
     for v in range(g.n):
         if B >> v & 1:
             continue
         nb_lists = [L0[b] for b in bits(g.adj[v] & B)]
-        if all(sum(lst <= T for lst in nb_lists) >= need for T in subsets):
+        if all(sum(not lst & ~T for lst in nb_lists) >= need for T in subsets):
             A |= 1 << v
     return A, exact
 
@@ -253,7 +252,7 @@ def sample_L1(A, s, seed):
     """Independent uniform s-subsets of {0..s^2-1} for each vertex of A."""
     rng = random.Random(seed)
     universe = list(range(s * s))
-    return {v: frozenset(rng.sample(universe, s)) for v in bits(A)}
+    return {v: mask_of(rng.sample(universe, s)) for v in bits(A)}
 
 
 def compute_A_phi(g, A, B, L1, phi, k):
@@ -267,7 +266,7 @@ def compute_A_phi(g, A, B, L1, phi, k):
         counts = {}
         for u in bits(g.adj[v] & B):
             counts[phi[u]] = counts.get(phi[u], 0) + 1
-        if all(counts.get(c, 0) >= k for c in L1[v]):
+        if all(counts.get(c, 0) >= k for c in bits(L1[v])):
             out |= 1 << v
     return out
 
@@ -288,17 +287,20 @@ def verify_L1_dominates(g, A, B, L0, L1, k, trials=200, seed=0):
     of them, stopping at the first refuting one; past the cap ``trials``
     random colorings are drawn and the worst margin seen is reported.  An
     empty B has a single empty coloring, so the condition degenerates to
-    |A_phi| > 0.
+    |A_phi| > 0.  Sampling fewer than one coloring is refused.
     """
-    b_verts = sorted(bits(B))
+    b_verts = list(bits(B))
     b_size = len(b_verts)
-    exact = math.prod(len(L0[v]) for v in b_verts) <= DOMINATION_EXACT_CAP
+    b_lists = [list(bits(L0[v])) for v in b_verts]
+    exact = math.prod(map(len, b_lists)) <= DOMINATION_EXACT_CAP
     if exact:
-        colorings = (dict(zip(b_verts, combo))
-                     for combo in product(*(sorted(L0[v]) for v in b_verts)))
+        colorings = (dict(zip(b_verts, combo)) for combo in product(*b_lists))
+    elif trials < 1:
+        raise ValueError(f"trials must be at least 1 to sample colorings, got {trials}")
     else:
         rng = random.Random(seed)
-        colorings = ({v: rng.choice(sorted(L0[v])) for v in b_verts} for _ in range(trials))
+        colorings = ({v: rng.choice(lst) for v, lst in zip(b_verts, b_lists)}
+                     for _ in range(trials))
     worst = counterexample = None
     checked = 0
     for phi in colorings:

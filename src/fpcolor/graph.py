@@ -416,14 +416,15 @@ def find_coloring(order, palette, allowed, hereditary=True):
 
     ``palette`` is either an int s, for colours 0..s-1 that are
     interchangeable (a vertex may open at most one new colour), or per-vertex
-    colour lists, each tried in sorted order.  Vertices are coloured in
-    ``order``, colours lowest first.  With ``hereditary`` a partial class that
-    is not allowed prunes the branch at once, since no superset can recover;
-    otherwise only the finished classes are tested, at the leaf.
+    colour lists as bitmasks (bit c for colour c), each tried in ascending
+    order.  Vertices are coloured in ``order``, colours lowest first.  With
+    ``hereditary`` a partial class that is not allowed prunes the branch at
+    once, since no superset can recover; otherwise only the finished classes
+    are tested, at the leaf.
     """
     k = len(order)
     free = isinstance(palette, int)
-    choices = None if free else [sorted(palette[v]) for v in order]
+    choices = None if free else [list(bits(palette[v])) for v in order]
     colors = [0] * k
     classes = {}
 

@@ -17,7 +17,6 @@ from fpcolor.graph import Graph, bits, from_graph6, mask_of
 from fpcolor.params import get_parameter
 from fpcolor.solvers import (
     ColResult,
-    ListAssignment,
     island_free_exhaustive,
     verify_fp_proper,
     verify_peel,
@@ -37,7 +36,7 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
+    if isinstance(obj, set):
         return sorted(obj)
     return obj
 
@@ -87,20 +86,19 @@ def col_to_json(res: ColResult, f_id, p):
     }
 
 
-def coloring_to_json(coloring, f_id, p, lists=None):
-    cert = {"type": "coloring", "f": f_id, "p": p, "colors": list(coloring)}
-    if lists is not None:
-        cert["lists"] = [sorted(lst) for lst in lists]
-    return cert
+def coloring_to_json(coloring, f_id, p):
+    return {"type": "coloring", "f": f_id, "p": p, "colors": list(coloring)}
 
 
-def assignment_to_json(L: ListAssignment, f_id, p):
+def assignment_to_json(lists, s, f_id, p):
+    """Certificate of an s-list system (colour bitmasks, one per vertex)
+    that admits no (f,p)-proper colouring."""
     return {
         "type": "bad_list_assignment",
-        "s": L.s,
+        "s": s,
         "f": f_id,
         "p": p,
-        "lists": [sorted(lst) for lst in L.lists],
+        "lists": [list(bits(lst)) for lst in lists],
     }
 
 
@@ -283,5 +281,5 @@ def verify_report(report: dict) -> bool:
         return verify_certificate(g, cert)
     except KeyError as exc:
         raise CertificateError(f"malformed report: missing field {exc}") from None
-    except (TypeError, AttributeError, IndexError) as exc:
+    except (TypeError, AttributeError, IndexError, RecursionError) as exc:
         raise CertificateError(f"malformed report: {exc}") from None

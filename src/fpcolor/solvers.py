@@ -12,6 +12,10 @@ tests each vertex set once:
 ``decide_choosability_fp`` across its whole adversary search, which tracks the
 feasible partial colourings itself instead of colouring each list system.
 
+A colour list is an int bitmask, bit c standing for colour c, and a list
+system is a sequence of such masks indexed by vertex; ``graph.bits`` reads a
+list in ascending colour order.
+
 The island coloring number is computed by iterated island removal rather
 than by its every-induced-subgraph definition; the two agree for hereditary
 parameters (the first peel island meeting an induced subgraph H intersects
@@ -36,29 +40,6 @@ CHOOSABILITY_S_CAP = 3
 COL_N_CAP = 64
 CHI_N_CAP = 24
 EXHAUSTIVE_ISLAND_CAP = 16
-
-
-@dataclass(frozen=True)
-class ListAssignment:
-    """Total per-vertex color lists over a small integer universe."""
-
-    lists: tuple  # tuple of frozensets, one per vertex
-    s: int  # declared minimum list size
-
-    def __post_init__(self):
-        if any(len(lst) < self.s for lst in self.lists):
-            raise ValueError(f"not an {self.s}-list assignment: some list is smaller")
-
-    @property
-    def n(self):
-        return len(self.lists)
-
-
-def list_assignment(lists, s=None):
-    lists = tuple(frozenset(lst) for lst in lists)
-    if s is None:
-        s = min((len(lst) for lst in lists), default=0)
-    return ListAssignment(lists, s)
 
 
 @dataclass(frozen=True)
@@ -259,11 +240,12 @@ def chi_fp(g: Graph, f: Parameter, p: int):
     raise AssertionError("unreachable: singleton classes always color at s = n")
 
 
-def exists_L_coloring(g: Graph, L: ListAssignment, f: Parameter, p: int):
-    """An (f,p)-proper coloring with colors drawn from L, or None."""
-    if L.n != g.n:
+def exists_L_coloring(g: Graph, lists, f: Parameter, p: int):
+    """An (f,p)-proper coloring with each vertex's color drawn from its list
+    (a color bitmask), or None."""
+    if len(lists) != g.n:
         raise ValueError("list assignment domain mismatch")
-    return find_coloring(range(g.n), L.lists, ClassOracle(g, f.allows, p), f.hereditary)
+    return find_coloring(range(g.n), lists, ClassOracle(g, f.allows, p), f.hereditary)
 
 
 def decide_choosability_fp(
@@ -307,8 +289,9 @@ def decide_choosability_fp(
       names.
 
     Pruning only skips subtrees without a bad leaf, so on False the
-    certificate is the first bad assignment of the enumeration, with lists
-    mapped back to vertex ids.
+    certificate is the first bad assignment of the enumeration, its lists as
+    color bitmasks indexed by vertex.  The search keeps each vertex's list as
+    the tuple it tried and makes masks only for the certificate.
     """
     if min(cap_n, cap_s) < 0:
         raise ValueError(f"choosability: a cap is negative (cap_n={cap_n}, cap_s={cap_s})")
@@ -323,7 +306,7 @@ def decide_choosability_fp(
     if g.n == 1:  # defeated only by an empty list or a vertex no class takes
         if s and f.allows(g, 1, p):
             return True, None
-        return False, ListAssignment((frozenset(range(s)),), s)
+        return False, ((1 << s) - 1,)
 
     n, full, hereditary = g.n, g.full_mask(), f.hereditary
     project = hereditary and f.connected
@@ -414,15 +397,15 @@ def decide_choosability_fp(
             missing = [j for j in range(now) if not union >> j & 1]
             if len(missing) >= s or not union >> empty & 1:
                 old = missing[:s]
-                lists[v] = frozenset(lst)
-                lists[w] = frozenset(old) | frozenset(range(now, now + s - len(old)))
+                lists[v] = lst
+                lists[w] = (*old, *range(now, now + s - len(old)))
                 return True
         return False
 
     def search(i, used, S):
         if not S:
             for u in order[i:]:
-                lists[u] = frozenset(range(s))
+                lists[u] = range(s)
             return True
         memo = key(i, S)
         if memo in safe:
@@ -434,7 +417,7 @@ def decide_choosability_fp(
             children = [[d for c in S if (d := child(i, c, k)) is not None]
                         for k in range(used + s)]
             for lst, now in candidates(used):
-                lists[order[i]] = frozenset(lst)
+                lists[order[i]] = lst
                 nxt = set()
                 for k in lst:
                     nxt.update(children[k])
@@ -448,31 +431,31 @@ def decide_choosability_fp(
     finally:
         del search  # it refers to itself: free the memo now, not at a later gc pass
     if defeated:
-        return False, ListAssignment(tuple(lists), s)
+        return False, tuple(map(mask_of, lists))
     return True, None
 
 
-def greedy_island_coloring(g: Graph, L: ListAssignment, f: Parameter, p: int, islands=None):
-    """(f,p)-proper L-coloring by reverse-peel greedy extension.
+def greedy_island_coloring(g: Graph, lists, f: Parameter, p: int, islands=None):
+    """(f,p)-proper coloring from ``lists`` by reverse-peel greedy extension.
 
-    Requires |L(v)| >= s where s admits a full peel (``islands``, the island
-    masks in removal order, or a fresh peel at s = L.s).  It is the plan of
-    that peel (``greedy_plan``) followed by one colouring from it
-    (``greedy_color``): islands are colored latest-peeled first, each vertex
-    taking its lowest list color unused on already-colored neighbors outside
-    its own island.  Colors are nonnegative ints.
+    Requires every list to hold at least s colors, where s admits a full
+    peel (``islands``, the island masks in removal order, or a fresh peel at
+    the size of the smallest list).  It is the plan of that peel
+    (``greedy_plan``) followed by one colouring from it (``greedy_color``):
+    islands are colored latest-peeled first, each vertex taking its lowest
+    list color unused on already-colored neighbors outside its own island.
+    Colors are nonnegative ints.
     """
-    if L.n != g.n:
+    if len(lists) != g.n:
         raise ValueError("list assignment domain mismatch")
     if g.n == 0:
         return ()
     if islands is None:
-        islands, _ = peel(g, L.s, f, p)
+        s = min(lst.bit_count() for lst in lists)
+        islands, _ = peel(g, s, f, p)
         if islands is None:
-            raise ValueError(
-                f"list size {L.s} is below the island coloring number: peel got stuck"
-            )
-    return greedy_color(greedy_plan(g, islands), [mask_of(lst) for lst in L.lists])
+            raise ValueError(f"list size {s} is below the island coloring number: peel got stuck")
+    return greedy_color(greedy_plan(g, islands), lists)
 
 
 def greedy_plan(g: Graph, islands):

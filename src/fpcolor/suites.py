@@ -4,6 +4,9 @@ behind the `lemma` CLI subcommand and the acceptance tests.
 Each suite's signature states its options, with its acceptance size as the
 defaults. It returns a JSON-able dict with a top-level "passed" flag, and dumps
 a self-contained counterexample bundle (graph6 + lists + coloring) on any failure.
+
+Lists are drawn by ``draw_lists`` as colour bitmasks (bit c for colour c), one
+per vertex; a bundle writes each list as its colours in ascending order.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from fpcolor.solvers import (
     find_island,
     greedy_color,
     greedy_plan,
-    list_assignment,
     verify_fp_proper,
 )
 
@@ -76,16 +78,17 @@ def draw_lists(n, s, u, rng):
     return out
 
 
-def random_list_assignment(n, s, universe_size, rng):
-    return list_assignment([bits(lst) for lst in draw_lists(n, s, universe_size, rng)], s)
-
-
 def _at_least(bound, **sizes):
     """Reject a size below ``bound``, named by its ``lemma`` flag: at such a
     size a suite would check nothing and still pass."""
     for name, value in sizes.items():
         if value < bound:
             raise ValueError(f"--{name.replace('_', '-')} must be at least {bound}, got {value}")
+
+
+def _as_lists(lists):
+    """A list system's colour masks as colour lists, for a bundle."""
+    return [list(bits(lst)) for lst in lists]
 
 
 def _counterexample(g, **extra):
@@ -134,7 +137,7 @@ def suite_lemma1(graphs=300, max_n=9, trials=50, seed=0):
                                 f=f.id,
                                 p=p,
                                 s=s,
-                                lists=[list(bits(lst)) for lst in lists],
+                                lists=_as_lists(lists),
                                 coloring=list(coloring),
                             )
                         )
@@ -167,26 +170,20 @@ def suite_nofan(i_values=(2, 3), trials=10000, seed=0):
             ok, bad = decide_choosability_fp(g, 2, FAN, 2)
             entry["choosable_2_exhaustive"] = ok
             if not ok:
-                failures.append(
-                    _counterexample(g, i=i, lists=[sorted(lst) for lst in bad.lists])
-                )
+                failures.append(_counterexample(g, i=i, lists=_as_lists(bad)))
         else:
             rng = random.Random(f"{seed}:nofan:{i}")
-            pathlen = i * i
-            p_graph = cons.path(pathlen)
+            pathlen = i * i  # the fan_join's path is 0..pathlen-1
             allowed = ClassOracle(g, FAN.allows, 2)  # the trials share most classes
             bad_trials = 0
             for _ in range(trials):
-                L = random_list_assignment(g.n, 2, 4, rng)
-                sub = list_assignment(L.lists[:pathlen], 2)
-                path_colors = cons.color_path_nonmono(p_graph, sub)
-                colors = list(path_colors) + [min(L.lists[v]) for v in range(pathlen, g.n)]
+                lists = draw_lists(g.n, 2, 4, rng)
+                colors = [*cons.color_path_nonmono(lists[:pathlen]),
+                          *(next(bits(lst)) for lst in lists[pathlen:])]
                 if not all(map(allowed.__getitem__, class_masks(colors).values())):
                     bad_trials += 1
                     failures.append(
-                        _counterexample(
-                            g, i=i, lists=[sorted(lst) for lst in L.lists], coloring=colors
-                        )
+                        _counterexample(g, i=i, lists=_as_lists(lists), coloring=colors)
                     )
             entry["trials"] = trials
             entry["failed_trials"] = bad_trials
@@ -239,11 +236,11 @@ def suite_path(t_values=(1, 2, 3), trials=1000, seed=0, n=None):
         bound = 2 * t * t
         worst = 0
         for _ in range(trials):
-            L = random_list_assignment(nt, 2, 4, rng)
-            coloring = cons.block_color_path_power(nt, t, L)
-            if any(coloring[v] not in L.lists[v] for v in range(nt)):
+            lists = draw_lists(nt, 2, 4, rng)
+            coloring = cons.block_color_path_power(nt, t, lists)
+            if any(not lst >> c & 1 for lst, c in zip(lists, coloring)):
                 failures.append(
-                    _counterexample(g, t=t, lists=[sorted(x) for x in L.lists],
+                    _counterexample(g, t=t, lists=_as_lists(lists),
                                     coloring=list(coloring), reason="not an L-coloring")
                 )
                 continue
@@ -253,7 +250,7 @@ def suite_path(t_values=(1, 2, 3), trials=1000, seed=0, n=None):
             worst = max(worst, biggest)
             if biggest > bound:
                 failures.append(
-                    _counterexample(g, t=t, lists=[sorted(x) for x in L.lists],
+                    _counterexample(g, t=t, lists=_as_lists(lists),
                                     coloring=list(coloring), component=biggest)
                 )
         results[str(t)] = {"n": nt, "bound": bound, "max_component_seen": worst,
@@ -390,15 +387,14 @@ def suite_pipeline(n=200, d=64, s=2, k=1, seeds=20, trials=100,
             rep["worst_margin"] = dom.worst_margin
             if dom.ok:
                 rng = random.Random(f"{seed}:psi")
-                default = frozenset(range(s))
-                lists = [
+                lists = _as_lists(
                     state.L0[v] if state.B >> v & 1
                     else state.L1[v] if state.A >> v & 1
-                    else default
+                    else (1 << s) - 1
                     for v in range(g.n)
-                ]
+                )
                 for _ in range(trials):
-                    psi = tuple(rng.choice(sorted(lists[v])) for v in range(g.n))
+                    psi = tuple(map(rng.choice, lists))
                     witness = cons.mono_dense_witness(g, psi, k)
                     if witness is None:
                         implication_failures.append(
@@ -442,8 +438,7 @@ def question_scan(which, graphs, p, smax=3, cap_n=CHOOSABILITY_N_CAP):
     """Scan small graphs for violations of the clustered / mad choosability
     ratio conjectures; records slack, never claims a proof.  A graph past the
     choosability cap, or with no choosable s <= smax, gets a row status saying so."""
-    if cap_n < 0:
-        raise ValueError(f"choosability: a cap is negative (cap_n={cap_n})")
+    _at_least(1, smax=smax)
     if which == "q1":
         f, factor = STAR, p
     elif which == "q2":

@@ -10,7 +10,7 @@ import types
 from itertools import combinations
 from pathlib import Path
 
-from fpcolor.graph import ClassOracle, bits, find_coloring
+from fpcolor.graph import ClassOracle, bits, find_coloring, mask_of
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -91,7 +91,7 @@ def islands_brute(g, s, active):
 
 def brute_choosable(g, s, f, p):
     """(True, None), or (False, lists) for the first s-list assignment with no
-    (f,p)-proper colouring from its lists.
+    (f,p)-proper colouring from its lists, as colour bitmasks.
 
     Enumerates every list system over a universe of s*n colours, quotiented
     by colour permutations only: along vertex order, colours are introduced
@@ -106,9 +106,9 @@ def brute_choosable(g, s, f, p):
         if i == g.n:
             return find_coloring(range(g.n), lists, allowed, f.hereditary) is None
         for fresh in range(s + 1):
-            fresh_block = frozenset(range(used, used + fresh))
+            fresh_block = ((1 << fresh) - 1) << used
             for old in combinations(range(used), s - fresh):
-                lists[i] = frozenset(old) | fresh_block
+                lists[i] = mask_of(old) | fresh_block
                 if rec(i + 1, used + fresh):
                     return True
         return False
@@ -122,13 +122,13 @@ def greedy_per_call(g, lists, islands):
     """Greedy island colouring as one call per list system: islands
     latest-peeled first, each vertex taking its lowest list colour unused on
     the neighbours coloured before it outside its own island, worked out
-    afresh for every vertex."""
+    afresh for every vertex.  ``lists`` holds colour bitmasks."""
     colors = [-1] * g.n
     colored = 0
     for island in reversed(islands):
         for v in bits(island):
             forbidden = {colors[w] for w in bits(g.adj[v] & colored & ~island)}
-            for c in sorted(lists[v]):
+            for c in bits(lists[v]):
                 if c not in forbidden:
                     colors[v] = c
                     break

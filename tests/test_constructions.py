@@ -10,8 +10,8 @@ from scipy.stats import chi2
 from fpcolor import constructions as cons
 from fpcolor.graph import Graph, bits, girth, induced_subgraph, mask_of
 from fpcolor.params import PARAMETERS
-from fpcolor.solvers import col_fp, list_assignment
-from fpcolor.suites import random_list_assignment
+from fpcolor.solvers import col_fp
+from fpcolor.suites import draw_lists
 
 STAR = PARAMETERS["star"]
 
@@ -81,16 +81,14 @@ def test_random_bipartite():
 
 def test_color_path_nonmono():
     rng = random.Random(201)
-    p = cons.path(8)
     for _ in range(200):
-        L = random_list_assignment(8, 2, 4, rng)
-        colors = cons.color_path_nonmono(p, L)
-        assert all(colors[v] in L.lists[v] for v in range(8))
+        L = draw_lists(8, 2, 4, rng)
+        colors = cons.color_path_nonmono(L)
+        assert all(L[v] >> colors[v] & 1 for v in range(8))
         assert all(colors[v] != colors[v + 1] for v in range(7))
+    assert cons.color_path_nonmono([]) == ()
     with pytest.raises(ValueError):
-        cons.color_path_nonmono(cons.cycle(4), random_list_assignment(4, 2, 4, rng))
-    with pytest.raises(ValueError):
-        cons.color_path_nonmono(p, list_assignment([{0}] * 8))
+        cons.color_path_nonmono([0b11] * 7 + [0b1])
 
 
 def test_block_color_path_power():
@@ -99,10 +97,10 @@ def test_block_color_path_power():
         n = 3 * t * (t + 1) + 2  # deliberately not a multiple of the block size
         g = cons.path_power(n, t)
         for _ in range(50):
-            L = random_list_assignment(n, 2, 4, rng)
+            L = draw_lists(n, 2, 4, rng)
             colors = cons.block_color_path_power(n, t, L)
             assert len(colors) == n
-            assert all(colors[v] in L.lists[v] for v in range(n))
+            assert all(L[v] >> colors[v] & 1 for v in range(n))
             classes = {}
             for v, c in enumerate(colors):
                 classes[c] = classes.get(c, 0) | 1 << v
@@ -130,7 +128,7 @@ def test_sample_B_L0_binomial_sanity():
         if 13 <= size <= 55:  # > 4 sigma around the mean of 33.3
             inside += 1
         for v in bits(B):
-            assert len(L0[v]) == 2 and L0[v] <= set(range(4))
+            assert L0[v].bit_count() == 2 and L0[v] < 1 << 4
         assert set(L0) == set(bits(B))
     assert inside >= 95
     with pytest.raises(ValueError):
@@ -141,7 +139,7 @@ def test_sample_L1_uniform_chi_square():
     """Drawn 2-lists hit all six 2-subsets of {0..3} uniformly (alpha = 0.001)."""
     A = (1 << 3000) - 1
     L1 = cons.sample_L1(A, 2, seed=55)
-    cells = {frozenset(c): 0 for c in combinations(range(4), 2)}
+    cells = {mask_of(c): 0 for c in combinations(range(4), 2)}
     for v in bits(A):
         cells[L1[v]] += 1
     expected = 3000 / 6
@@ -155,7 +153,7 @@ def test_good_vertices_exact_small():
     g = Graph(9, [(0, i) for i in range(1, 9)])
     B = mask_of(range(1, 9))
     # with k=1, s=1: universe {0}, half {0}; each leaf list must lie in {0}
-    L0_s1 = {v: frozenset({0}) for v in bits(B)}
+    L0_s1 = {v: 0b1 for v in bits(B)}
     A, exact = cons.good_vertices(g, B, L0_s1, 1, 1)
     assert exact and A == 1 << 0
     # raising k past the neighbor supply empties A
@@ -178,8 +176,8 @@ def test_compute_A_phi_and_domination(monkeypatch):
     g = Graph(4, [(0, 3), (1, 3), (2, 3)])
     B = mask_of([0, 1, 2])
     A = 1 << 3
-    L0 = {0: frozenset({0}), 1: frozenset({0}), 2: frozenset({0})}
-    L1 = {3: frozenset({0})}
+    L0 = {0: 0b1, 1: 0b1, 2: 0b1}
+    L1 = {3: 0b1}
     phi = {0: 0, 1: 0, 2: 0}
     assert cons.compute_A_phi(g, A, B, L1, phi, k=3) == A
     assert cons.compute_A_phi(g, A, B, L1, phi, k=4) == 0
@@ -210,7 +208,7 @@ def test_domination_exact_matches_sampled_when_all_colorings_seen(monkeypatch):
 
 def test_empty_B_domination_convention():
     g = cons.path(3)
-    dom = cons.verify_L1_dominates(g, 1 << 0, 0, {}, {0: frozenset({0})}, k=0)
+    dom = cons.verify_L1_dominates(g, 1 << 0, 0, {}, {0: 0b1}, k=0)
     assert dom.ok and dom.checked == 1  # single empty coloring, |A_phi| > 0
 
 

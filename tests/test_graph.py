@@ -258,8 +258,9 @@ def test_find_coloring_palettes():
     independent = ClassOracle(c5, lambda g, m, p: not any(g.adj[v] & m for v in bits(m)), 0)
     assert find_coloring(range(5), 2, independent) is None
     assert find_coloring(range(5), 3, independent) == (0, 1, 0, 1, 2)
-    # colours follow the given vertex order; lists are tried in sorted order
+    # colours follow the given vertex order; lists (colour masks) are tried
+    # in ascending order
     assert find_coloring([4, 3, 2, 1, 0], 3, independent) == (0, 1, 0, 1, 2)
-    lists = [{5, 1}, {1, 2}, {1, 2}, {1, 2}, {2, 5}]
+    lists = [0b100010, 0b110, 0b110, 0b110, 0b100100]
     assert find_coloring(range(5), lists, independent) == (1, 2, 1, 2, 5)
     assert find_coloring((), 1, independent) == ()

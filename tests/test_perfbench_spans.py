@@ -34,8 +34,7 @@ def test_tracer_install_round_trip(tmp_path):
         solvers.chi_fp(cons.cycle(5), params.PARAMETERS["mad"], 1)
         # degeneracy bounds settle mad on C5 with no flow, but not this G(8, 1/2)
         density.exact_mad(cons.random_gnp(8, 0.5, 1))
-        solvers.exists_L_coloring(cons.cycle(4), solvers.list_assignment([{0, 1}] * 4),
-                                  params.PARAMETERS["star"], 1)
+        solvers.exists_L_coloring(cons.cycle(4), [0b11] * 4, params.PARAMETERS["star"], 1)
     finally:
         spans.uninstall(undo)
     assert tracer.calls["cli.main"] == 1

@@ -1,5 +1,6 @@
 """Report serialization, certificate re-verification and the CLI surface."""
 
+import hashlib
 import inspect
 import json
 import time
@@ -98,10 +99,10 @@ def test_coloring_certificate():
     cert_bad = coloring_to_json((0,) * 5, "star", 1)
     assert not verify_certificate(g, cert_bad)
     assert not verify_certificate(g, coloring_to_json(coloring + (0,), "star", 1))
-    with_lists = coloring_to_json(coloring, "star", 1,
-                                  lists=[set(range(3))] * 5)
+    # a coloring from lists, which no solver emits but verify still checks
+    with_lists = {**cert, "lists": [[0, 1, 2]] * 5}
     assert verify_certificate(g, with_lists)
-    off_list = coloring_to_json(coloring, "star", 1, lists=[{9}] * 5)
+    off_list = {**cert, "lists": [[9]] * 5}
     assert not verify_certificate(g, off_list)
 
 
@@ -109,15 +110,15 @@ def test_bad_assignment_certificate():
     g = cons.complete_bipartite(2, 4)
     ok, bad = decide_choosability_fp(g, 2, STAR, 1)
     assert not ok
-    assert verify_certificate(g, assignment_to_json(bad, "star", 1))
+    assert verify_certificate(g, assignment_to_json(bad, 2, "star", 1))
     # a colorable assignment is not a valid counterexample
     easy = {"type": "bad_list_assignment", "s": 1, "f": "star", "p": 1,
             "lists": [[v] for v in range(6)]}
     assert not verify_certificate(g, easy)
     # still uncolourable, but one list too many, or one list short of s
-    lists = [sorted(lst) for lst in bad.lists]
+    lists = [list(bits(lst)) for lst in bad]
     for tampered in (lists + [[0, 1]], [lists[0][:1]] + lists[1:]):
-        cert = {**assignment_to_json(bad, "star", 1), "lists": tampered}
+        cert = {**assignment_to_json(bad, 2, "star", 1), "lists": tampered}
         assert not verify_certificate(g, cert), tampered
     # 4^10 colourings of ten lists are past the cap, even where the first is proper
     huge = {"type": "bad_list_assignment", "s": 4, "f": "star", "p": 1,
@@ -282,6 +283,21 @@ def test_cli_verify_malformed_reports(tmp_path, capsys):
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 1, name
         assert out == "" and err.startswith("verify: ") and err.count("\n") == 1, (name, err)
+
+
+def test_cli_verify_report_nested_too_deeply(tmp_path, capsys):
+    """Nesting past the JSON decoder's depth, or a certificate chain past the
+    verifier's, is a malformed report: exit 1 and one line, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out, err) == (1, "", "verify: malformed report: nested too deeply\n")
+    cert = {"type": "peel"}
+    for _ in range(5000):
+        cert = {"type": "col", "value": 2, "upper": cert}
+    report = {"command": "solve col", "inputs": {"graph6": "@"}, "certificate": cert}
+    with pytest.raises(CertificateError, match="malformed report"):
+        verify_report(report)
 
 
 def test_cli_verify_binds_claims_to_certificate(tmp_path, capsys):
@@ -479,6 +495,43 @@ def test_cli_negative_choosability_caps_are_usage_errors(capsys):
         assert (code, out, err.count("\n")) == (2, "", 1) and "negative" in err, graphs
 
 
+def test_cli_question_refuses_sizes_that_check_nothing(capsys):
+    """A question scan over no graph, or with no list size to try, would
+    check nothing and exit 0; it is a usage error instead."""
+    for argv, message in ((("--graphs", "0"), "--graphs must be at least 1, got 0"),
+                          (("--graphs", "-3"), "--graphs must be at least 1, got -3"),
+                          (("--smax", "0"), "--smax must be at least 1, got 0"),
+                          (("--gen", "cycle:4", "--smax", "0"), "--smax must be at least 1, got 0")):
+        code, out, err = run_cli(capsys, "question", "q1", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+#: sha256 of the canonical report of each run, computed at commit 4d95530,
+#: which still kept colour lists as frozensets
+REPORT_DIGESTS = {
+    "solve choosable --gen complete-bipartite:2,4 --f star --p 1 --s 2":
+        "ab1fd4989b470f7e90a3b405e0571f847a0d3dd027e976d0ae2e22d2a7ddb0a7",
+    "solve choosable --gen cycle:5 --f star --p 1 --s 2":
+        "8c458df36984f8a0a0b81fcb9c235e94b4723683d4ba2b2b77113b4c47940ba0",
+    "solve choosable --gen complete:5 --f star --p 2 --s 2":
+        "de876168e4c2d4c51c5fb10a21785387b867e3b89f53a4b501b8152985b05bff",
+    "adversary --gen bipartite:200,64,0 --check-domination":
+        "b88930469a9e190e1eee24d5dc3eb9b6f71fbe4a725a72a3a0fe63023ba9fa0a",
+    "lemma nofan": "36568852dec59358e2851629d4b0791a6f7647c100b6a103a5e9a075c227baa5",
+    "lemma path": "61a81c7e23cd72914f87b25d0b7736b8edc38ad0e9bc3555159b8e7989c626dc",
+    "lemma pipeline --seeds 3":
+        "7aeb15223c2a48dea9450396525cf17e4ef7de902dc0c5b341974993f5444fb5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
+def test_reports_with_colour_lists_pinned(capsys, argv):
+    """Reports that write colour lists (bad list assignments, the adversary's
+    L0 and L1) or draw them (nofan, path, pipeline), byte for byte."""
+    _, out, _ = run_cli(capsys, *argv.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
+
+
 def test_cli_byte_identical_runs(capsys):
     args = ("solve", "col", "--gen", "gnp:8,0.4,7", "--f", "star", "--p", "1")
     _, first, _ = run_cli(capsys, *args)
@@ -551,6 +604,16 @@ def test_cli_adversary_check_domination(capsys):
     assert rep["status"] == "estimate"
     assert rep["result"]["domination"] == {"checked": 7, "exact": False, "ok": False,
                                            "worst_margin": -len(rep["result"]["B"])}
+    # sampling no colouring would report "ok": true having checked nothing
+    for trials in ("0", "-1"):
+        code, out, err = run_cli(capsys, *base, "--gen", "bipartite:200,64,0", "--trials",
+                                 trials)
+        assert (code, out, err) == (
+            2, "", f"error: trials must be at least 1 to sample colorings, got {trials}\n")
+    # an exact check samples nothing, so it takes any trial count
+    code, out, _ = run_cli(capsys, *base, "--gen", "bipartite:20,4,2", "--d", "4",
+                           "--seed", "3", "--trials", "0")
+    assert code == 0 and json.loads(out)["result"]["domination"]["exact"]
 
 
 def test_cli_lemma_suites(capsys):

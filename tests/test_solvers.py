@@ -31,7 +31,6 @@ from fpcolor.solvers import (
     greedy_island_coloring,
     greedy_plan,
     island_free_exhaustive,
-    list_assignment,
     peel,
     star_cutoff,
     verify_fp_proper,
@@ -39,19 +38,12 @@ from fpcolor.solvers import (
 )
 from fpcolor import suites
 from fpcolor.suites import (_small_subgraph_densities, choosability_value, draw_lists,
-                            random_graph_sample, random_list_assignment, suite_lemma1)
+                            random_graph_sample, suite_lemma1)
 
 STAR = PARAMETERS["star"]
 MAX_DEGREE = PARAMETERS["max-degree"]
 FAN = PARAMETERS["fan"]
 CHROMATIC = PARAMETERS["chromatic"]
-
-
-def test_list_assignment_validation():
-    L = list_assignment([{0, 1}, {1, 2}])
-    assert L.s == 2 and L.n == 2
-    with pytest.raises(ValueError):
-        list_assignment([{0}], s=2)
 
 
 def test_verify_fp_proper():
@@ -188,15 +180,13 @@ def test_chi_known_values():
 
 def test_exists_L_coloring():
     c4 = cons.cycle(4)
-    L = list_assignment([{0, 1}, {0, 1}, {0, 1}, {0, 1}])
+    L = [0b11] * 4
     got = exists_L_coloring(c4, L, STAR, 1)
     assert got is not None and verify_fp_proper(c4, got, STAR, 1)
-    assert all(got[v] in L.lists[v] for v in range(4))
+    assert all(L[v] >> got[v] & 1 for v in range(4))
     # the classical non-2-choosable assignment for K_{2,4}
     k24 = cons.complete_bipartite(2, 4)
-    bad = list_assignment(
-        [{0, 1}, {2, 3}, {0, 2}, {0, 3}, {1, 2}, {1, 3}]
-    )
+    bad = [mask_of(lst) for lst in ({0, 1}, {2, 3}, {0, 2}, {0, 3}, {1, 2}, {1, 3})]
     assert exists_L_coloring(k24, bad, STAR, 1) is None
     with pytest.raises(ValueError):
         exists_L_coloring(cons.path(3), L, STAR, 1)
@@ -223,8 +213,8 @@ def test_non_hereditary_parameter_checks_classes_at_the_leaf():
                      if verify_fp_proper(g, c, ISOLATED, 1))
         assert coloring == first
         for _ in range(3):
-            L = random_list_assignment(g.n, 2, 3, rng)
-            first = next((c for c in product(*map(sorted, L.lists))
+            L = draw_lists(g.n, 2, 3, rng)
+            first = next((c for c in product(*(bits(lst) for lst in L))
                           if verify_fp_proper(g, c, ISOLATED, 1)), None)
             assert exists_L_coloring(g, L, ISOLATED, 1) == first
 
@@ -236,8 +226,8 @@ def test_certificates_are_pinned():
     assert chi_fp(cons.robertson(), PARAMETERS["chromatic"], 2) == (
         2, (0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1))
     ok, bad = decide_choosability_fp(cons.complete_bipartite(2, 4), 2, STAR, 1)
-    assert not ok and bad.s == 2
-    assert [sorted(lst) for lst in bad.lists] == [
+    assert not ok
+    assert [list(bits(lst)) for lst in bad] == [
         [0, 1], [2, 3], [0, 2], [0, 3], [1, 2], [1, 3]]
 
 
@@ -253,7 +243,7 @@ def test_choosability_decisions():
     ok, _ = decide_choosability_fp(cons.cycle(5), 3, STAR, 1)
     assert ok
     ok, cert = decide_choosability_fp(cons.cycle(4), 0, STAR, 1)
-    assert not ok and cert.lists == (frozenset(),) * 4
+    assert not ok and cert == (0,) * 4
     with pytest.raises(ValueError):
         decide_choosability_fp(cons.cycle(4), -1, STAR, 1)
     for caps in ({"cap_n": -1}, {"cap_s": -1}):
@@ -262,9 +252,9 @@ def test_choosability_decisions():
     # one vertex: defeated only by the empty list, or when it is no class
     assert decide_choosability_fp(Graph(1), 1, STAR, 1) == (True, None)
     ok, cert = decide_choosability_fp(Graph(1), 0, STAR, 1)
-    assert not ok and cert.lists == (frozenset(),)
+    assert not ok and cert == (0,)
     ok, cert = decide_choosability_fp(Graph(1), 2, STAR, 0)
-    assert not ok and cert.lists == (frozenset({0, 1}),)
+    assert not ok and cert == (0b11,)
 
 
 #: vertex count: hereditary, but the sum over components rather than the max
@@ -298,14 +288,15 @@ def test_choosability_matches_brute_enumeration():
             assert bad is None
             continue
         false_cases[s] += 1
-        assert bad.s == s and all(len(lst) == s for lst in bad.lists)
+        assert all(lst.bit_count() == s for lst in bad)
         if f.id in PARAMETERS:
-            assert verify_certificate(g, assignment_to_json(bad, f.id, p))
+            assert verify_certificate(g, assignment_to_json(bad, s, f.id, p))
         else:
-            assert not any(verify_fp_proper(g, c, f, p) for c in product(*map(sorted, bad.lists)))
+            assert not any(verify_fp_proper(g, c, f, p)
+                           for c in product(*(bits(lst) for lst in bad)))
         if sorted(range(g.n), key=g.degree, reverse=True) == list(range(g.n)):
             # the search visits vertices in index order: the same first bad leaf
-            assert bad.lists == want_lists, (g.edges(), f.id, p, s)
+            assert bad == want_lists, (g.edges(), f.id, p, s)
     assert cases[1] + cases[2] > 350 and false_cases[1] + false_cases[2] > 100
     assert cases[3] == 64 and false_cases[3] > 5, (cases, false_cases)
 
@@ -323,7 +314,7 @@ def test_choosability_certificates_pinned():
             for p in range(3):
                 for s in range(4 if g.n <= 5 else 3):
                     ok, bad = decide_choosability_fp(g, s, f, p)
-                    decisions.append([ok, None if ok else [sorted(lst) for lst in bad.lists]])
+                    decisions.append([ok, None if ok else [list(bits(lst)) for lst in bad]])
     text = json.dumps(decisions, separators=(",", ":"))
     assert len(decisions) == 3213 and sum(not ok for ok, _ in decisions) == 1862
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -381,22 +372,21 @@ def test_greedy_island_coloring():
         for f, p in ((STAR, 1), (MAX_DEGREE, 1)):
             s = col_fp(g, f, p).value
             for _ in range(5):
-                L = random_list_assignment(g.n, s, s + 3, rng)
+                L = draw_lists(g.n, s, s + 3, rng)
                 coloring = greedy_island_coloring(g, L, f, p)
-                assert all(coloring[v] in L.lists[v] for v in range(g.n))
+                assert all(L[v] >> coloring[v] & 1 for v in range(g.n))
                 assert verify_fp_proper(g, coloring, f, p)
 
 
 def test_greedy_island_coloring_rejects_short_lists():
     k4 = cons.complete(4)
-    L = list_assignment([{0, 1}] * 4)
     with pytest.raises(ValueError):
-        greedy_island_coloring(k4, L, STAR, 1)  # col is 4, lists of size 2
+        greedy_island_coloring(k4, [0b11] * 4, STAR, 1)  # col is 4, lists of size 2
 
 
 def test_greedy_island_coloring_domain_mismatch():
     with pytest.raises(ValueError):
-        greedy_island_coloring(cons.path(3), list_assignment([{0}]), STAR, 1)
+        greedy_island_coloring(cons.path(3), [0b1], STAR, 1)
 
 
 def test_greedy_plan_matches_per_call_greedy():
@@ -414,10 +404,9 @@ def test_greedy_plan_matches_per_call_greedy():
                 plan = greedy_plan(g, res.islands)
                 for u in (res.value, res.value + 3, 12):
                     lists = draw_lists(g.n, res.value, u, rng)
-                    want = greedy_per_call(g, [list(bits(lst)) for lst in lists], res.islands)
+                    want = greedy_per_call(g, lists, res.islands)
                     assert greedy_color(plan, lists) == want
-                    L = list_assignment([bits(lst) for lst in lists])
-                    assert greedy_island_coloring(g, L, f, p, res.islands) == want
+                    assert greedy_island_coloring(g, lists, f, p, res.islands) == want
                     compared += 1
     assert compared > 1000
 
