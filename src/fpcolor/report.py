@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from fpcolor.errors import CapExceeded
-from fpcolor.graph import Graph, bits, from_graph6, mask_of
+from fpcolor.graph import Graph, GraphError, bits, from_graph6, mask_of
 from fpcolor.params import get_parameter
 from fpcolor.solvers import (
     ColResult,
@@ -134,7 +134,10 @@ def _graph_from_report(report):
         g6 = report["inputs"]["graph6"]
     except KeyError:
         raise CertificateError("report lacks inputs.graph6; cannot re-verify") from None
-    g = from_graph6(g6)
+    try:
+        g = from_graph6(g6)
+    except GraphError as exc:
+        raise CertificateError(f"malformed report: inputs.{exc}") from None
     declared = report["inputs"].get("graph_hash")
     if declared is not None and declared != g.content_hash():
         raise CertificateError("graph hash mismatch: report was tampered with")

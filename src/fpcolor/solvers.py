@@ -120,12 +120,23 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
     anchors.  None lies in an island: an island vertex has at least
     deg - s + 1 neighbours inside it, so f is at least its value on that
     star, which ``cutoff`` (``star_cutoff(g, f, p)`` unless given) bounds.
+
+    The search grows an island in ascending order and bans each vertex (an
+    anchor included) once its subtree is done; a banned vertex stays outside
+    every island below.  Two cuts follow.  A vertex with s banned
+    neighbours is banned untried, before its class test.  A branch ends as
+    soon as a ban gives an island vertex s banned neighbours, since every
+    later sibling holds that vertex.  So every node is entered with each
+    island vertex below s banned neighbours, and no node checks that again.
     Only subtrees holding no island are skipped, so the island found is the
-    one the unpruned depth-first search finds first.  Every search node past
-    the anchor passed ``f.allows``, so growing it by u is tested with the
-    hint ``new = u``; the anchor alone was never tested, so its children
-    are tested whole.
+    one the unpruned depth-first search finds first.
+
+    Every search node past the anchor passed ``f.allows``, so growing it by
+    u is tested with the hint ``new = u``; the anchor alone was never
+    tested, so its children are tested whole.
     """
+    if s < 0:
+        raise ValueError(f"island: s={s} is negative")
     if active is None:
         active = g.full_mask()
     if not active:
@@ -133,11 +144,12 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
     if cutoff is None:
         cutoff = star_cutoff(g, f, p)
     lower = excluded_core(g, s, active, cutoff)
+    adj = g.adj
     # singleton fast path, lowest vertex first; a singleton island with
     # f > p is no search root either
     rejected = 0
     for v in bits(active & ~lower):
-        if (g.adj[v] & active).bit_count() < s:
+        if (adj[v] & active).bit_count() < s:
             if f.allows(g, 1 << v, p):
                 return 1 << v
             rejected |= 1 << v
@@ -145,28 +157,29 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
     def search(island, ext, banned):
         if _is_island(g, island, active, s):
             return island
-        # a vertex already saturated by permanently-excluded neighbors
-        # can never satisfy the island condition in any extension
-        for v in bits(island):
-            if (g.adj[v] & active & banned).bit_count() >= s:
-                return 0
         while ext:
             u = ext & -ext
             ext ^= u
-            grown = island | u
             w = u.bit_length() - 1
-            if f.allows(g, grown, p, new=w if island & (island - 1) else None):
-                new_ext = (ext | (g.adj[w] & active)) & ~grown & ~banned
-                found = search(grown, new_ext, banned)
-                if found:
-                    return found
+            # u with s banned neighbours lies in no island below
+            if (adj[w] & banned).bit_count() < s:
+                grown = island | u
+                if f.allows(g, grown, p, new=w if island & (island - 1) else None):
+                    new_ext = (ext | (adj[w] & active)) & ~grown & ~banned
+                    found = search(grown, new_ext, banned)
+                    if found:
+                        return found
             banned |= u
+            # an island vertex saturated by banned ones ends the branch
+            for v in bits(island & adj[w]):
+                if (adj[v] & banned).bit_count() >= s:
+                    return 0
         return 0
 
     for anchor in bits(active & ~lower):
         abit = 1 << anchor
-        if not abit & rejected:
-            found = search(abit, g.adj[anchor] & active & ~lower, lower)
+        if not abit & rejected and (adj[anchor] & lower).bit_count() < s:
+            found = search(abit, adj[anchor] & active & ~lower, lower)
             if found:
                 return found
         lower |= abit

@@ -89,6 +89,58 @@ def islands_brute(g, s, active):
     return out
 
 
+def find_island_unpruned(g, s, f, p, active=None, cutoff=None):
+    """``solvers.find_island`` before its search cut branches on banned
+    vertices: the reference for the first island in depth-first order.  Each
+    search node tests its island vertices against the banned set, and every
+    vertex added is class-tested first."""
+    from fpcolor.solvers import _is_island, excluded_core, star_cutoff
+
+    if active is None:
+        active = g.full_mask()
+    if not active:
+        return None
+    if cutoff is None:
+        cutoff = star_cutoff(g, f, p)
+    lower = excluded_core(g, s, active, cutoff)
+    rejected = 0
+    for v in bits(active & ~lower):
+        if (g.adj[v] & active).bit_count() < s:
+            if f.allows(g, 1 << v, p):
+                return 1 << v
+            rejected |= 1 << v
+
+    def search(island, ext, banned):
+        if _is_island(g, island, active, s):
+            return island
+        # a vertex already saturated by permanently-excluded neighbors
+        # can never satisfy the island condition in any extension
+        for v in bits(island):
+            if (g.adj[v] & active & banned).bit_count() >= s:
+                return 0
+        while ext:
+            u = ext & -ext
+            ext ^= u
+            grown = island | u
+            w = u.bit_length() - 1
+            if f.allows(g, grown, p, new=w if island & (island - 1) else None):
+                new_ext = (ext | (g.adj[w] & active)) & ~grown & ~banned
+                found = search(grown, new_ext, banned)
+                if found:
+                    return found
+            banned |= u
+        return 0
+
+    for anchor in bits(active & ~lower):
+        abit = 1 << anchor
+        if not abit & rejected:
+            found = search(abit, g.adj[anchor] & active & ~lower, lower)
+            if found:
+                return found
+        lower |= abit
+    return None
+
+
 def brute_choosable(g, s, f, p):
     """(True, None), or (False, lists) for the first s-list assignment with no
     (f,p)-proper colouring from its lists, as colour bitmasks.

@@ -127,12 +127,13 @@ COMMANDS = {"col": "solve col", "coloring": "solve chi",
 @FUZZ
 @hypothesis.given(certificates, st.sampled_from(sorted(COMMANDS.values())),
                   st.sampled_from((True, True, True, False)),
-                  st.sampled_from(GRAPHS), claims, claims)
+                  st.sampled_from(GRAPHS) | st.text(max_size=8), claims, claims)
 def test_verify_report_returns_a_bool_or_raises_certificate_error(cert, command, matching, g6,
                                                                   inputs, result):
     """Certificates of every type under every solve command, and mostly under
     the command that emits their type, so that most get past the check that
-    binds a report's claims to its certificate."""
+    binds a report's claims to its certificate; ``inputs.graph6`` is a valid
+    graph or arbitrary text."""
     if matching and isinstance(cert["type"], str):
         command = COMMANDS.get(cert["type"], command)
     report = {"command": command, "inputs": {**inputs, "graph6": g6}, "result": result,

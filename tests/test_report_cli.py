@@ -275,9 +275,12 @@ def test_cli_verify_malformed_reports(tmp_path, capsys):
     unknown_f = json.loads(chi_file.read_text())
     for section in ("inputs", "result", "certificate"):
         unknown_f[section]["f"] = "nosuch"
+    bad_graph6 = {"command": "solve chi", "inputs": {"graph6": "!!"},
+                  "certificate": {"type": "coloring"}}
     for name, payload in (("no_islands", no_islands), ("no_f", no_f), ("list", [1, 2]),
                           ("negative_vertex", negative_vertex),
-                          ("vertex_past_n", vertex_past_n), ("unknown_f", unknown_f)):
+                          ("vertex_past_n", vertex_past_n), ("unknown_f", unknown_f),
+                          ("bad_graph6", bad_graph6)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
         code, out, err = run_cli(capsys, "verify", str(path))
@@ -493,6 +496,17 @@ def test_cli_negative_choosability_caps_are_usage_errors(capsys):
         code, out, err = run_cli(capsys, "question", "q1", "--graphs", graphs, "--max-n", "4",
                                  "--cap-choosability-n", "-1")
         assert (code, out, err.count("\n")) == (2, "", 1) and "negative" in err, graphs
+
+
+def test_cli_negative_island_size_is_a_usage_error(capsys):
+    """A negative s once gave an exact "no island"; s = 0 is a valid size
+    that no island meets."""
+    code, out, err = run_cli(capsys, "solve", "island", "--gen", "petersen", "--f", "star",
+                             "--p", "1", "--s", "-1")
+    assert (code, out, err) == (2, "", "error: island: s=-1 is negative\n")
+    code, out, _ = run_cli(capsys, "solve", "island", "--gen", "petersen", "--f", "star",
+                           "--p", "1", "--s", "0")
+    assert code == 0 and json.loads(out)["result"]["value"] is False
 
 
 def test_cli_question_refuses_sizes_that_check_nothing(capsys):

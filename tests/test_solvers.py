@@ -11,8 +11,8 @@ from itertools import product
 
 import pytest
 
-from conftest import (brute_chi, brute_choosable, brute_col, count_calls, greedy_per_call,
-                      has_island_brute, islands_brute, load_perfbench)
+from conftest import (brute_chi, brute_choosable, brute_col, count_calls, find_island_unpruned,
+                      greedy_per_call, has_island_brute, islands_brute, load_perfbench)
 from fpcolor import constructions as cons
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import Graph, bits, mask_of
@@ -91,6 +91,35 @@ def test_find_island_hints_change_nothing():
                     assert island is None or f.eval_mask(g, island) <= p
                     found += island is not None and island.bit_count() > 2
     assert found > 200, found
+
+
+def test_find_island_matches_unpruned_search():
+    """The banned-vertex cuts skip only subtrees that hold no island, so the
+    search returns the very mask the unpruned search finds first."""
+    rng = random.Random(191)
+    found = 0
+    for g in random_graph_sample(40, 10, 191, min_n=6):
+        for f in PARAMETERS.values():
+            for p, s in product(range(4), range(1, 5)):
+                for active in (g.full_mask(), rng.getrandbits(g.n)):
+                    for cutoff in (None, g.n):
+                        island = find_island(g, s, f, p, active, cutoff)
+                        assert island == find_island_unpruned(g, s, f, p, active, cutoff), (
+                            g.edges(), f.id, p, s, active, cutoff)
+                        found += island is not None and island.bit_count() > 2
+    assert found > 600, found
+
+
+def test_find_island_search_work_bound():
+    """On the stuck remainders at s = col - 1 of the two costliest benchmark
+    peels, the unpruned search made 7,117 (fan) and 1,374 (mad) calls."""
+    for spec, f, p, bound in (((22, 0.3, 1), FAN, 3, 2000),
+                              ((20, 0.3, 1), PARAMETERS["mad"], 2, 300)):
+        g = cons.random_gnp(*spec)
+        res = col_fp(g, f, p)
+        island, calls = count_calls(find_island, "search", g, res.value - 1, f, p,
+                                    res.lower_certificate)
+        assert island is None and calls <= bound, (spec, f.id, calls)
 
 
 def test_peel_and_verify_peel():
