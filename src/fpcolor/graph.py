@@ -10,7 +10,11 @@ for callers that want a standalone graph; nothing in the package needs one.
 The one colouring backtracker (``find_coloring``) lives here too, below the
 parameter layer, so that ``chi``, list colouring and the chromatic parameter
 all search through it.  It tests colour classes through a ``ClassOracle``,
-a per-solve memo of "may this vertex set form a class".
+a per-solve memo of "may this vertex set form a class" that hands each new
+test the vertex just added as ``new``, the hint ``Parameter.allows`` takes.
+For hereditary parameters it forward-checks: a branch ends as soon as a
+later neighbour of the vertex just coloured has no class, fresh colour or
+list colour left, which skips only subtrees that hold no colouring.
 """
 
 from __future__ import annotations
@@ -75,9 +79,6 @@ class Graph:
                 out.append((u, low.bit_length() - 1))
                 rest ^= low
         return out
-
-    def has_edge(self, u, v):
-        return bool(self.adj[u] >> v & 1)
 
     def full_mask(self):
         return (1 << self.n) - 1
@@ -394,10 +395,15 @@ def class_masks(coloring):
 
 
 class ClassOracle(dict):
-    """``oracle[mask]`` is ``allows(g, mask, p)``, such as
-    ``Parameter.allows``: may the vertex set ``mask`` form one colour class.
-    Each mask is tested once; an oracle belongs to one solve and is dropped
-    with it.
+    """``oracle[mask]`` is ``allows(g, mask, p)``: may the vertex set
+    ``mask`` form one colour class.  Each mask is tested once; an oracle
+    belongs to one solve and is dropped with it.
+
+    ``allows`` has the signature of ``Parameter.allows``, ``allows(g, mask,
+    p, new=None)``.  ``miss(mask, new)`` tests a mask not yet seen with the
+    hint ``new``: a vertex of ``mask`` whose removal leaves a set the caller
+    knows to be allowed, so that a capped evaluator checks only what ``new``
+    adds.  The verdict is the same with the hint or without it.
     """
 
     def __init__(self, g, allows, p):
@@ -406,6 +412,10 @@ class ClassOracle(dict):
 
     def __missing__(self, mask):
         ok = self[mask] = self.allows(self.g, mask, self.p)
+        return ok
+
+    def miss(self, mask, new):
+        ok = self[mask] = self.allows(self.g, mask, self.p, new)
         return ok
 
 
@@ -417,29 +427,75 @@ def find_coloring(order, palette, allowed, hereditary=True):
     ``palette`` is either an int s, for colours 0..s-1 that are
     interchangeable (a vertex may open at most one new colour), or per-vertex
     colour lists as bitmasks (bit c for colour c), each tried in ascending
-    order.  Vertices are coloured in ``order``, colours lowest first.  With
-    ``hereditary`` a partial class that is not allowed prunes the branch at
-    once, since no superset can recover; otherwise only the finished classes
-    are tested, at the leaf.
+    order.  Vertices are coloured in ``order``, colours lowest first.
+
+    With ``hereditary`` a class that is not allowed can never recover once
+    it grows, which gives two cuts.  A partial class that is not allowed
+    ends the branch at once.  And after a vertex joins class c, each later
+    neighbour j that may still take colour c is checked for an option left
+    (forward checking): with an int palette, a fresh colour while fewer
+    than s are open, or else an open class that takes j; with lists, a
+    colour of j's list whose class takes j.  A j with none ends the branch.
+    Both cuts skip only subtrees that hold no colouring, so the first
+    colouring found is the one the plain search finds.  A class is only ever
+    grown from a set already known to be allowed, so each miss hands the
+    oracle the added vertex as ``new``.  Without ``hereditary`` only the
+    finished classes are tested, at the leaf.
     """
     k = len(order)
     free = isinstance(palette, int)
-    choices = None if free else [list(bits(palette[v])) for v in order]
+    choices = None if free else {v: list(bits(palette[v])) for v in order}
     colors = [0] * k
     classes = {}
+    get, miss = allowed.get, allowed.miss
+    if hereditary:
+        adj, after = allowed.g.adj, 0
+        later = [None] * k  # vertex and bit of each neighbour coloured after order[i]
+        for i in reversed(range(k)):
+            v = order[i]
+            later[i] = [(j, 1 << j) for j in bits(adj[v] & after)]
+            after |= 1 << v
+
+    def takes(mask, j, jbit):
+        """Whether the class ``mask`` (allowed) may take vertex j."""
+        ok = get(mask | jbit)
+        if ok is None:
+            ok = miss(mask | jbit, j if mask else None)
+        return ok
+
+    def stranded(i, c, grown, opened):
+        """Whether class c, grown to ``grown`` by order[i], leaves a later
+        neighbour with no option; ``opened`` colours are then open."""
+        if free and opened < palette:  # every vertex may still open a colour
+            return False
+        for j, jbit in later[i]:
+            if free:
+                options = range(opened)
+            elif palette[j] >> c & 1:
+                options = choices[j]
+            else:  # class c was never an option of j
+                continue
+            for d in options:
+                if takes(grown if d == c else classes.get(d, 0), j, jbit):
+                    break
+            else:
+                return True
+        return False
 
     def rec(i, used):
         if i == k:
             return hereditary or all(allowed[m] for m in classes.values() if m)
-        bit = 1 << order[i]
-        for c in range(min(used + 1, palette)) if free else choices[i]:
+        u = order[i]
+        bit = 1 << u
+        for c in range(min(used + 1, palette)) if free else choices[u]:
             saved = classes.get(c, 0)
             grown = saved | bit
-            if hereditary and not allowed[grown]:
+            opened = max(used, c + 1)
+            if hereditary and (not takes(saved, u, bit) or stranded(i, c, grown, opened)):
                 continue
             classes[c] = grown
             colors[i] = c
-            if rec(i + 1, max(used, c + 1)):
+            if rec(i + 1, opened):
                 return True
             classes[c] = saved
         return False

@@ -141,8 +141,12 @@ def _fan(g, mask, cap=None, new=None):
     return best
 
 
-def _independent(g, mask, _p):
-    """Whether ``mask`` may be a class of a proper colouring."""
+def _independent(g, mask, _p, new=None):
+    """Whether ``mask`` may be a class of a proper colouring; with ``new``,
+    the rest of ``mask`` is known to be independent, so only ``new``'s edges
+    are looked at."""
+    if new is not None:
+        return not g.adj[new] & mask
     return not any(g.adj[v] & mask for v in bits(mask))
 
 

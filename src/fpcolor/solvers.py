@@ -234,9 +234,15 @@ def degeneracy_col(g: Graph) -> int:
 def chi_fp(g: Graph, f: Parameter, p: int):
     """Least s admitting an (f,p)-proper coloring, with a witness.
 
-    Backtracking over vertices in index order; with hereditary f a partial
-    class already violating f <= p prunes the branch (a violation can never
-    recover), otherwise classes are only checked once complete.
+    ``graph.find_coloring`` tries s = 1, 2, ... over vertices in index
+    order, lowest colour first, with one ``ClassOracle`` for every s.  With
+    hereditary f a partial class already violating f <= p ends the branch
+    (a violation can never recover), and so does a later neighbour of the
+    vertex just coloured that no open class or fresh colour takes any more
+    (forward checking); each class test passes the added vertex as ``new``.
+    Otherwise classes are only checked once complete.
+    The witness is the first colouring in that order, which neither cut
+    changes.
     """
     if g.n > CHI_N_CAP:
         raise CapExceeded(f"chi: n={g.n} exceeds cap {CHI_N_CAP}")

@@ -10,7 +10,7 @@ import types
 from itertools import combinations
 from pathlib import Path
 
-from fpcolor.graph import ClassOracle, bits, find_coloring, mask_of
+from fpcolor.graph import ClassOracle, bits, mask_of
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -141,6 +141,36 @@ def find_island_unpruned(g, s, f, p, active=None, cutoff=None):
     return None
 
 
+def brute_find_coloring(order, palette, allowed, hereditary=True):
+    """``graph.find_coloring`` before forward checking: the reference for the
+    first colouring in vertex order, lowest colour first.  With
+    ``hereditary`` only a partial class that is not allowed ends a branch,
+    and every class test is ``allowed[mask]``, with no ``new`` hint."""
+    k = len(order)
+    free = isinstance(palette, int)
+    choices = None if free else [list(bits(palette[v])) for v in order]
+    colors = [0] * k
+    classes = {}
+
+    def rec(i, used):
+        if i == k:
+            return hereditary or all(allowed[m] for m in classes.values() if m)
+        bit = 1 << order[i]
+        for c in range(min(used + 1, palette)) if free else choices[i]:
+            saved = classes.get(c, 0)
+            grown = saved | bit
+            if hereditary and not allowed[grown]:
+                continue
+            classes[c] = grown
+            colors[i] = c
+            if rec(i + 1, max(used, c + 1)):
+                return True
+            classes[c] = saved
+        return False
+
+    return tuple(colors) if rec(0, 0) else None
+
+
 def brute_choosable(g, s, f, p):
     """(True, None), or (False, lists) for the first s-list assignment with no
     (f,p)-proper colouring from its lists, as colour bitmasks.
@@ -148,15 +178,15 @@ def brute_choosable(g, s, f, p):
     Enumerates every list system over a universe of s*n colours, quotiented
     by colour permutations only: along vertex order, colours are introduced
     in order of first use and the fresh colours of one list are consecutive.
-    Each system is checked with the one colouring backtracker, which the
+    Each system is checked with the unpruned colouring backtracker, which the
     solver tests hold to product enumeration.
     """
-    allowed = ClassOracle(g, lambda g, mask, p: f.eval_mask(g, mask) <= p, p)
+    allowed = ClassOracle(g, lambda g, mask, p, new=None: f.eval_mask(g, mask) <= p, p)
     lists = [None] * g.n
 
     def rec(i, used):
         if i == g.n:
-            return find_coloring(range(g.n), lists, allowed, f.hereditary) is None
+            return brute_find_coloring(range(g.n), lists, allowed, f.hereditary) is None
         for fresh in range(s + 1):
             fresh_block = ((1 << fresh) - 1) << used
             for old in combinations(range(used), s - fresh):

@@ -1,9 +1,17 @@
-"""Property-based fuzzing of the input parsers and of report verification:
-malformed input ends in the parser's or the verifier's own error, never in
-another exception."""
+"""Property-based fuzzing of the input parsers, of report verification and
+of the command line: malformed input ends in the parser's, the verifier's or
+the CLI's own error, never in another exception."""
+
+import contextlib
+import functools
+import io
+import os
+import tempfile
 
 import pytest
 
+from fpcolor import cli, suites
+from fpcolor import constructions as cons
 from fpcolor.graph import Graph, GraphError, from_edge_list, from_graph6, to_edge_list, to_graph6
 from fpcolor.params import PARAMETERS
 from fpcolor.report import CertificateError, verify_report
@@ -143,3 +151,178 @@ def test_verify_report_returns_a_bool_or_raises_certificate_error(cert, command,
     except CertificateError:
         return
     assert type(ok) is bool
+
+
+#: --gen tokens of at most 8 vertices, some of them malformed
+gen_tokens = st.one_of(
+    st.sampled_from(("path", "complete", "edgeless"))
+    .flatmap(lambda name: st.integers(1, 8).map(lambda n: f"{name}:{n}")),
+    st.integers(3, 8).map("cycle:{}".format),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map("complete-bipartite:{0[0]},{0[1]}".format),
+    st.integers(1, 2).map("fan-join:{}".format),
+    st.tuples(st.integers(1, 8), st.integers(1, 3)).map("path-power:{0[0]},{0[1]}".format),
+    st.tuples(st.integers(1, 8), st.sampled_from(("0", "0.3", "0.7", "1")),
+              st.integers(0, 9)).map("gnp:{0[0]},{0[1]},{0[2]}".format),
+    st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(0, 9))
+    .filter(lambda t: t[1] <= t[0]).map("bipartite:{0[0]},{0[1]},{0[2]}".format),
+    st.sampled_from(("path:0", "path:-1", "cycle:2", "cycle", "cycle:x", "gnp:5", "gnp:4,2,0",
+                     "nosuch:3", "path:1,2", "path-power:3,0", "bipartite:2,5,1",
+                     "complete-bipartite:-1,2", "fan-join:0", "")),
+)
+#: the runs whose reports the valid report files hold, one per kind of certificate
+REPORT_ARGV = (
+    ("solve", "chi", "--gen", "cycle:5", "--f", "star", "--p", "1"),
+    ("solve", "col", "--gen", "gnp:7,0.5,2", "--f", "mad", "--p", "1"),
+    ("solve", "choosable", "--gen", "complete-bipartite:2,4", "--f", "star", "--s", "2"),
+    ("solve", "island", "--gen", "path:4", "--f", "fan", "--s", "2"),
+    ("param", "--gen", "cycle:4", "--f", "mad"),
+    ("lemma", "estim", "--smax", "3"),
+)
+
+
+def run_main(argv):
+    """``(exit code, stdout, stderr)`` of ``cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def file_sources():
+    """Kind -> the texts that valid input files of that kind hold."""
+    graphs = (cons.path(1), cons.cycle(5), cons.complete_bipartite(2, 3),
+              cons.random_gnp(8, 0.5, 3), cons.fan_join(2))
+    return {"graph6": [to_graph6(g) + "\n" for g in graphs],
+            "edges": [to_edge_list(g) + "\n" for g in graphs],
+            "report": [run_main(argv)[1] for argv in REPORT_ARGV]}
+
+
+def input_files(*kinds):
+    """An input file of one of ``kinds``: its kind, which source, and how
+    it is damaged."""
+    return st.tuples(
+        st.sampled_from(kinds),
+        st.integers(0, 99),
+        st.one_of(st.just(("valid",)),
+                  st.tuples(st.just("truncated"), st.integers(0, 10**4)),
+                  st.tuples(st.just("tampered"), st.integers(0, 10**4),
+                            st.sampled_from("0123456789 \n\t-~?@_{}[]\",:.ab\u00e9"))),
+    )
+
+
+def write_input(directory, spec):
+    """The path of the input file ``spec`` describes, written in ``directory``."""
+    kind, which, damage = spec
+    path = os.path.join(directory, f"input.{kind}")
+    if kind == "missing":
+        return path
+    sources = file_sources()[kind]
+    text = sources[which % len(sources)]
+    if damage[0] == "truncated":
+        text = text[:damage[1] % max(len(text), 1)]
+    elif damage[0] == "tampered" and text:
+        at = damage[1] % len(text)
+        text = text[:at] + damage[2] + text[at + 1:]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+def small(top):
+    """Mostly 1..top, and -1 or 0 an eighth of the time."""
+    return st.one_of(*[st.integers(1, top)] * 7, st.integers(-1, 0))
+
+
+#: lemma flags whose suite default runs long, given whenever the suite takes them
+LEMMA_SIZES = {"--graphs": 3, "--trials": 3, "--seeds": 3, "--n": 8, "--d": 8, "--smax": 3,
+               "--max-n": 8}
+LEMMA_FLAGS = {**LEMMA_SIZES, "--seed": 9, "--k": 2, "--s": 3}
+#: the suite parameter each list flag sets
+LEMMA_LISTS = {"--i": "i_values", "--t": "t_values"}
+
+
+@st.composite
+def cli_argv(draw, directory):
+    """An argv for ``cli.main`` built from its real subcommands and flags,
+    with small sizes, and input files written in ``directory``."""
+    cmd = draw(st.sampled_from(("param", "solve", "generate", "adversary", "verify", "lemma",
+                                "question")))
+    argv = ["--timing"] if draw(st.booleans()) else []
+    argv.append(cmd)
+
+    def graph_args():
+        source = draw(st.sampled_from(("gen", "gen", "gen", "file", "file", "none")))
+        if source == "gen":
+            return ["--gen", draw(gen_tokens)]
+        if source == "file":
+            kinds = ("graph6", "edges", "report", "missing")
+            return ["--graph", write_input(directory, draw(input_files(*kinds)))]
+        return []
+
+    def output_args(formats=True):
+        out = []
+        if formats and draw(st.booleans()):
+            out += ["--format", draw(st.sampled_from(("json", "table")))]
+        if draw(st.booleans()):
+            out += ["--out", os.path.join(directory, "out.txt")]
+        return out
+
+    def flag(name, values):
+        return [name, str(draw(values))] if draw(st.booleans()) else []
+
+    f = ["--f", draw(st.sampled_from(sorted(PARAMETERS)))]
+    if cmd == "param":
+        argv += graph_args() + f + output_args()
+    elif cmd == "solve":
+        op = draw(st.sampled_from(("chi", "choosable", "col", "island")))
+        s_max = 2 if op == "choosable" else 3  # s = 3 choosability can take seconds
+        argv += [op, *graph_args(), *f, *flag("--p", small(3)), *flag("--s", small(s_max)),
+                 *flag("--cap-choosability-n", small(10)),
+                 *flag("--cap-choosability-s", small(3)), *output_args()]
+    elif cmd == "generate":
+        argv += graph_args() + flag("--emit", st.sampled_from(("g6", "edges")))
+        argv += output_args(formats=False)
+    elif cmd == "adversary":
+        argv += [*graph_args(), *flag("--s", small(3)), *flag("--k", small(2)),
+                 *flag("--d", small(8)), *flag("--seed", small(9)), *flag("--trials", small(3)),
+                 *(["--check-domination"] if draw(st.booleans()) else []), *output_args()]
+    elif cmd == "verify":
+        argv.append(write_input(directory, draw(input_files("report", "report", "graph6",
+                                                             "missing"))))
+    elif cmd == "lemma":
+        name = draw(st.sampled_from(sorted(suites.SUITES)))
+        argv.append(name)
+        takes = cli.SUITE_SIGNATURES[name].parameters
+
+        def given(option, dest):
+            if dest not in takes:  # now and then a flag it does not take
+                return all(draw(st.lists(st.booleans(), min_size=4, max_size=4)))
+            return option in LEMMA_SIZES or draw(st.booleans())
+
+        for option, top in LEMMA_FLAGS.items():
+            if given(option, option[2:].replace("-", "_")):
+                argv += [option, str(draw(small(top)))]
+        for option, dest in LEMMA_LISTS.items():
+            if given(option, dest):
+                argv += [option, *map(str, draw(st.lists(small(3), min_size=1, max_size=2)))]
+        argv += output_args()
+    else:
+        argv += [draw(st.sampled_from(("q1", "q2"))), *graph_args(), *flag("--p", small(3)),
+                 "--graphs", str(draw(small(3))), *flag("--max-n", small(8)),
+                 *flag("--seed", small(9)), "--smax", str(draw(small(2))),
+                 *flag("--cap-choosability-n", small(10)), *output_args()]
+    return argv
+
+
+@FUZZ
+@hypothesis.given(st.data())
+def test_cli_ends_in_an_exit_code_and_at_most_one_error_line(data):
+    """Every run of ``cli.main`` on small graphs and valid, truncated or
+    tampered input files returns exit code 0-3 and writes at most one line
+    to stderr; an escaping exception fails the test."""
+    with tempfile.TemporaryDirectory() as directory:
+        argv = data.draw(cli_argv(directory))
+        code, _, err = run_main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert len(err.splitlines()) <= 1, (argv, err)
