@@ -21,7 +21,7 @@ from fpcolor.errors import CapExceeded
 from fpcolor.graph import GraphError, bits, from_edge_list, from_graph6, to_edge_list, to_graph6
 from fpcolor.params import PARAMETERS, get_parameter
 from fpcolor.solvers import (CHOOSABILITY_N_CAP, CHOOSABILITY_S_CAP, chi_fp, col_fp,
-                             decide_choosability_fp, find_island)
+                             decide_choosability_fp, find_island, refuse_negative_caps)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -126,6 +126,8 @@ def cmd_param(args):
 
 
 def cmd_solve(args):
+    # every op takes the caps, so every op refuses a negative one, before any work
+    refuse_negative_caps(cap_n=args.cap_choosability_n, cap_s=args.cap_choosability_s)
     g = load_graph(args)
     f = get_parameter(args.f)
     p = args.p
@@ -241,8 +243,7 @@ def cmd_lemma(args):
 
 
 def cmd_question(args):
-    if args.cap_choosability_n < 0:  # refused first, whatever the sample holds
-        raise ValueError(f"choosability: a cap is negative (cap_n={args.cap_choosability_n})")
+    refuse_negative_caps(cap_n=args.cap_choosability_n)  # first, whatever the sample holds
     inputs = {"p": args.p, "smax": args.smax}
     if args.gen or args.graph:
         graphs = [load_graph(args)]

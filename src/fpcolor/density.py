@@ -1,11 +1,23 @@
 """Exact maximum-density subgraph via max-flow with rational thresholds.
 
 Density of a vertex set S is |E(S)|/|S|; the maximum average degree (mad)
-is twice the maximum density.  For a rational guess g = a/b the flow network
-(source -> v: m; v -> sink: m + 2g - deg v; each edge 1 both ways, all
-scaled by b) has min cut b*m*n - 2*(b|E(S)| - a|S|) minimized over S, so a
-cut below b*m*n exhibits a set strictly denser than the guess (Goldberg,
-1984).
+is twice the maximum density.  For a rational guess g = a/b, with every
+capacity scaled by b, a vertex v has the excess x_v = b deg v - 2a.  The
+flow network has one arc pair per edge, of capacity b each way.  A vertex
+gets a source arc of x_v when x_v > 0, a sink arc of -x_v when x_v < 0,
+and no terminal arc when x_v = 0.  With X the sum of the positive
+excesses, the cut whose source side is S costs X - 2(b|E(S)| - a|S|).  So
+a cut below X exhibits a set strictly denser than the guess (Goldberg,
+1984).  Such a cut leaves a source arc unsaturated, and the witness is the
+source side of the minimal minimum cut: the vertices the residual network
+still reaches from the source, none when no cut is below X.
+
+Goldberg gives every vertex both a source arc of b*m and a sink arc of
+b*m + 2a - b deg v, m the number of edges, and two arc pairs per edge.
+Every cut crosses exactly one terminal arc of each vertex, so lowering
+both by the same amount lowers every cut by the same constant: the
+minimum cuts, and the witness, stay the same.  The lowered network skips
+the n flow paths s -> v -> t that Goldberg's saturates first.
 
 Flows run only where cheap bounds leave a gap.  Let d be the degeneracy, the
 largest core number (``graph.core_numbers``).  A set of s > d vertices has at
@@ -44,22 +56,40 @@ from fpcolor.graph import bits, core_numbers, mask_of
 
 
 class _Dinic:
+    """Dinic's max-flow over flat arc lists.
+
+    Arc e runs to ``head[e]`` with residual capacity ``cap[e]``; arcs are
+    added in pairs, so the reverse of arc e is arc e ^ 1.  ``arcs[u]`` lists
+    the ids of the arcs that leave u.  After ``max_flow``, ``level`` holds the
+    last BFS, which found no path: the vertices it reached (level >= 0) are
+    the source side of the minimal minimum cut.
+    """
+
     def __init__(self, n):
         self.n = n
-        self.graph = [[] for _ in range(n)]
+        self.head = []
+        self.cap = []
+        self.arcs = [[] for _ in range(n)]
 
-    def add_edge(self, u, v, cap):
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
+    def add_edge(self, u, v, cap, back=0):
+        """An arc u -> v of capacity ``cap`` and its reverse of capacity ``back``."""
+        e = len(self.head)
+        self.head += (v, u)
+        self.cap += (cap, back)
+        self.arcs[u].append(e)
+        self.arcs[v].append(e + 1)
 
     def _bfs(self, s, t):
+        head, cap, arcs = self.head, self.cap, self.arcs
         level = [-1] * self.n
         level[s] = 0
         q = [s]
         for u in q:
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+            next_level = level[u] + 1
+            for e in arcs[u]:
+                v = head[e]
+                if cap[e] > 0 and level[v] < 0:
+                    level[v] = next_level
                     q.append(v)
         self.level = level
         return level[t] >= 0
@@ -70,15 +100,15 @@ class _Dinic:
         Iterative, so a long path cannot exhaust the call stack.  A vertex's
         current arc only moves past arcs that lead to a dead end.
         """
-        graph, level, it = self.graph, self.level, self.it
+        head, cap, arcs, level, it = self.head, self.cap, self.arcs, self.level, self.it
         stack, path = [s], []  # vertices from s, and the arcs between them
         while stack[-1] != t:
             u = stack[-1]
-            arcs = graph[u]
-            while it[u] < len(arcs):
-                e = arcs[it[u]]
-                if e[1] > 0 and level[e[0]] == level[u] + 1:
-                    stack.append(e[0])
+            out, next_level = arcs[u], level[u] + 1
+            while it[u] < len(out):
+                e = out[it[u]]
+                if cap[e] > 0 and level[head[e]] == next_level:
+                    stack.append(head[e])
                     path.append(e)
                     break
                 it[u] += 1
@@ -88,10 +118,10 @@ class _Dinic:
                     return 0
                 path.pop()
                 it[stack[-1]] += 1
-        pushed = min(e[1] for e in path)
+        pushed = min(cap[e] for e in path)
         for e in path:
-            e[1] -= pushed
-            graph[e[0]][e[2]][1] += pushed
+            cap[e] -= pushed
+            cap[e ^ 1] += pushed
         return pushed
 
     def max_flow(self, s, t):
@@ -108,22 +138,21 @@ def _denser_than(g, mask, guess):
     verts = list(bits(mask))
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
-    degs = [(g.adj[v] & mask).bit_count() for v in verts]
-    m = sum(degs) // 2
     a, b = guess.numerator, guess.denominator
     net = _Dinic(n + 2)
     source, sink = n, n + 1
     for i, v in enumerate(verts):
-        net.add_edge(source, i, b * m)
-        net.add_edge(i, sink, b * m + 2 * a - b * degs[i])
-        for w in bits(g.adj[v] & mask):
-            if w > v:
-                net.add_edge(i, index[w], b)
-                net.add_edge(index[w], i, b)
-    cut = net.max_flow(source, sink)
-    if cut >= b * m * n:
-        return 0
-    # the last BFS of max_flow, which found no path, leveled the residual source side
+        near = g.adj[v] & mask
+        excess = b * near.bit_count() - 2 * a
+        if excess > 0:
+            net.add_edge(source, i, excess)
+        elif excess < 0:
+            net.add_edge(i, sink, -excess)
+        for w in bits(near & -(2 << v)):  # each edge once, from its lower end
+            net.add_edge(i, index[w], b, b)
+    net.max_flow(source, sink)
+    # the last BFS of max_flow, which found no path, leveled the residual source
+    # side; it is empty, and the mask 0, when the flow saturates every source arc
     return mask_of(v for v, level in zip(verts, net.level) if level >= 0)
 
 

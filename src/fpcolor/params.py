@@ -176,10 +176,12 @@ def _chromatic(g, mask, cap=None, new=None):
         colors[v] = next(c for c in range(k) if c not in taken)
     upper = max(colors.values()) + 1
 
-    independent = ClassOracle(g, _independent, 0)
-    for s in range(clique, upper if cap is None else min(upper, cap)):
-        if find_coloring(verts, s, independent) is not None:
-            return s
+    tries = range(clique, upper if cap is None else min(upper, cap))
+    if tries:  # the bounds often leave no count to try, and then need no oracle
+        independent = ClassOracle(g, _independent, 0)
+        for s in tries:
+            if find_coloring(verts, s, independent) is not None:
+                return s
     return upper
 
 

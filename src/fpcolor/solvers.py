@@ -267,6 +267,13 @@ def exists_L_coloring(g: Graph, lists, f: Parameter, p: int):
     return find_coloring(range(g.n), lists, ClassOracle(g, f.allows, p), f.hereditary)
 
 
+def refuse_negative_caps(**caps):
+    """ValueError, naming every cap, when one of the choosability caps is negative."""
+    if min(caps.values()) < 0:
+        named = ", ".join(f"{name}={value}" for name, value in caps.items())
+        raise ValueError(f"choosability: a cap is negative ({named})")
+
+
 def decide_choosability_fp(
     g: Graph,
     s: int,
@@ -312,8 +319,7 @@ def decide_choosability_fp(
     color bitmasks indexed by vertex.  The search keeps each vertex's list as
     the tuple it tried and makes masks only for the certificate.
     """
-    if min(cap_n, cap_s) < 0:
-        raise ValueError(f"choosability: a cap is negative (cap_n={cap_n}, cap_s={cap_s})")
+    refuse_negative_caps(cap_n=cap_n, cap_s=cap_s)
     if g.n > cap_n:
         raise CapExceeded(f"choosability: n={g.n} exceeds cap {cap_n}")
     if s > cap_s:

@@ -220,6 +220,60 @@ def greedy_per_call(g, lists, islands):
     return tuple(colors)
 
 
+def goldberg_denser_than(g, mask, guess):
+    """``density._denser_than`` on Goldberg's network (1984) in full, solved by
+    shortest augmenting paths.  For the guess a/b, scaled by b, every vertex
+    v of g[mask] has a source arc of b*m and a sink arc of b*m + 2a - b deg v,
+    and every edge is two arc pairs, an arc of capacity b each way, each with
+    a reverse arc of capacity 0.  A flow below b*m*n means a cut below it,
+    and the vertices the residual network reaches from the source are then
+    the answer; otherwise 0."""
+    verts = list(bits(mask))
+    n = len(verts)
+    degs = [(g.adj[v] & mask).bit_count() for v in verts]
+    m = sum(degs) // 2
+    a, b = guess.numerator, guess.denominator
+    source, sink = n, n + 1
+    head, cap, out = [], [], [[] for _ in range(n + 2)]
+
+    def arc(u, v, capacity):  # arc e and its reverse e ^ 1
+        for tail, tip, c in ((u, v, capacity), (v, u, 0)):
+            out[tail].append(len(head))
+            head.append(tip)
+            cap.append(c)
+
+    for i, v in enumerate(verts):
+        arc(source, i, b * m)
+        arc(i, sink, b * m + 2 * a - b * degs[i])
+        for j, w in enumerate(verts):
+            if w > v and g.adj[v] >> w & 1:
+                arc(i, j, b)
+                arc(j, i, b)
+    flow = 0
+    while True:
+        into = {source: None}  # the arc each reached vertex was reached by
+        queue = [source]
+        for u in queue:
+            for e in out[u]:
+                if cap[e] > 0 and head[e] not in into:
+                    into[head[e]] = e
+                    queue.append(head[e])
+        if sink not in into:
+            break
+        path, u = [], sink
+        while u != source:
+            path.append(into[u])
+            u = head[into[u] ^ 1]
+        pushed = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= pushed
+            cap[e ^ 1] += pushed
+        flow += pushed
+    if flow >= b * m * n:
+        return 0
+    return mask_of(v for i, v in enumerate(verts) if i in into)
+
+
 def count_calls(fn, inner, *args, **kwargs):
     """``(fn(*args, **kwargs), calls)``: the calls made to the function named
     ``inner`` that is defined inside ``fn``, counted by a profile hook on its

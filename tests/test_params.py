@@ -6,7 +6,8 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from fpcolor import constructions as cons, density
+from conftest import goldberg_denser_than
+from fpcolor import constructions as cons, density, params
 from fpcolor.density import exact_mad, max_density
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import Graph, average_degree, bits, components, induced_subgraph, mask_of
@@ -201,6 +202,74 @@ def test_mad_bounds_against_both_oracles():
                 assert dens == subset_max_density(g, mask)
             assert max_density(g, mask) == (dens, witness)
             assert MAD.eval_mask(g, mask) == int(2 * dens)
+
+
+def test_denser_than_matches_goldberg_network():
+    """The reduced network has the same minimum cuts as Goldberg's full one,
+    so ``_denser_than`` returns the identical mask.  Random graphs and masks
+    of at most 40 vertices, at four kinds of guess: random ones; densities
+    of subsets, where ties decide which minimum cut is the minimal one; the
+    evaluator's t/2 - 1/(2k+1); and guesses at which no vertex has a
+    positive excess."""
+    rng = random.Random(61)
+    found = 0
+    for trial in range(240):
+        g = mad_family(rng, 12 if trial < 200 else 40)
+        mask = g.full_mask() if rng.random() < 0.5 else rng.getrandbits(g.n)
+        if not mask:
+            continue
+        k = mask.bit_count()
+        top = max((g.adj[v] & mask).bit_count() for v in bits(mask))
+        t = rng.randint(1, top + 1)
+        guesses = (Fraction(rng.randint(0, 2 * k), rng.randint(1, k)),
+                   density._density(g, rng.getrandbits(g.n) & mask or mask),
+                   Fraction(t, 2) - Fraction(1, 2 * k + 1),
+                   Fraction(top, 2) + Fraction(rng.randint(0, k), rng.randint(1, k)))
+        for guess in guesses:
+            got = density._denser_than(g, mask, guess)
+            assert got == goldberg_denser_than(g, mask, guess), (trial, guess)
+            found += bool(got)
+    assert found > 100, found
+
+
+def test_denser_than_work_counts(monkeypatch):
+    """One ``add_edge`` per edge of g[mask] and per vertex with b deg != 2a,
+    and one ``_bfs`` call per BFS phase: each call that finds a path reaches
+    the sink farther out than the one before, and one last call finds none.
+    perfbench reads these calls as density.add_edge.calls and
+    density.bfs_phases."""
+    calls = []
+    add_edge, bfs = density._Dinic.add_edge, density._Dinic._bfs
+
+    def counted_add_edge(self, *args):
+        calls.append("arc")
+        return add_edge(self, *args)
+
+    def leveled_bfs(self, s, t):
+        reached = bfs(self, s, t)
+        calls.append(self.level[t] if reached else None)
+        return reached
+
+    monkeypatch.setattr(density._Dinic, "add_edge", counted_add_edge)
+    monkeypatch.setattr(density._Dinic, "_bfs", leveled_bfs)
+    rng = random.Random(67)
+    multi = zero_excess = 0
+    for _ in range(200):
+        n = rng.randint(2, 30)
+        g = cons.random_gnp(n, rng.uniform(0.05, 0.6), rng.getrandbits(32))
+        mask = rng.getrandbits(n) or g.full_mask()
+        degs = [(g.adj[v] & mask).bit_count() for v in bits(mask)]
+        guess = rng.choice((Fraction(rng.choice(degs), 2), density._density(g, mask),
+                            Fraction(rng.randint(0, 20), rng.randint(1, 9))))
+        a, b = guess.numerator, guess.denominator
+        del calls[:]
+        density._denser_than(g, mask, guess)
+        assert calls.count("arc") == sum(degs) // 2 + sum(b * d != 2 * a for d in degs)
+        levels = [call for call in calls if call != "arc"]
+        assert levels[-1] is None and levels[:-1] == sorted(set(levels[:-1]) - {None})
+        multi += len(levels) > 2
+        zero_excess += any(b * d == 2 * a for d in degs)
+    assert multi > 20 and zero_excess > 20, (multi, zero_excess)
 
 
 @pytest.fixture
@@ -429,6 +498,17 @@ def test_chromatic_against_naive_oracle():
 
     for g in sample_graphs(20, 6, 37):
         assert CHROMATIC.eval(g) == naive_chromatic(g)
+
+
+def test_chromatic_builds_an_oracle_only_for_a_search(monkeypatch):
+    """When the clique and greedy bounds meet, no colour count is left to
+    try, and ``_chromatic`` builds no ``ClassOracle``."""
+    built = []
+    oracle = params.ClassOracle
+    monkeypatch.setattr(params, "ClassOracle", lambda *args: built.append(1) or oracle(*args))
+    assert [CHROMATIC.eval(g) for g in (cons.complete(5), cons.cycle(6))] == [5, 2]
+    assert not built
+    assert CHROMATIC.eval(cons.cycle(5)) == 3 and built == [1]
 
 
 def test_chromatic_cap():

@@ -498,6 +498,19 @@ def test_cli_negative_choosability_caps_are_usage_errors(capsys):
         assert (code, out, err.count("\n")) == (2, "", 1) and "negative" in err, graphs
 
 
+def test_cli_every_solve_op_refuses_negative_choosability_caps(capsys):
+    """chi, col and island once accepted a negative cap and exited 0; every
+    op now refuses it with the line that choosable gives."""
+    for flag in ("--cap-choosability-n", "--cap-choosability-s"):
+        errors = set()
+        for op in ("chi", "choosable", "col", "island"):
+            code, out, err = run_cli(capsys, "solve", op, "--gen", "gnp:8,1,8", "--f",
+                                     "max-degree", "--s", "2", flag, "-1")
+            assert (code, out, err.count("\n")) == (2, "", 1) and "negative" in err, (op, flag)
+            errors.add(err)
+        assert len(errors) == 1, errors
+
+
 def test_cli_negative_island_size_is_a_usage_error(capsys):
     """A negative s once gave an exact "no island"; s = 0 is a valid size
     that no island meets."""
