@@ -23,6 +23,17 @@ it in an island of H).  The definitional brute force lives in the test
 suite as an oracle.  Island results are plain vertex masks: ``find_island``
 returns one, ``peel`` and ``ColResult.islands`` hold them in removal order,
 and only the report layer turns them into certificates.
+
+For hereditary f the same argument makes the peel's outcome independent of
+which islands it removes: an island of A meets any A' inside A in an island
+of A' or in nothing, so the remainder a peel gets stuck on is the largest
+island-free induced subgraph, whatever the order.  So for connected
+hereditary f ``peel`` removes small islands first: each step tries the
+connected sets of at most ``SMALL_ISLAND`` vertices, smallest first,
+enumerated by ESU (``connected_sets``), and runs the depth-first
+``find_island`` only when none is an island.  Values and lower
+certificates are those of any other order; only the islands of upper
+certificates depend on it.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ CHOOSABILITY_S_CAP = 3
 COL_N_CAP = 64
 CHI_N_CAP = 24
 EXHAUSTIVE_ISLAND_CAP = 16
+SMALL_ISLAND = 4  # the largest island peel's small pass looks for
 
 
 @dataclass(frozen=True)
@@ -109,7 +121,7 @@ def excluded_core(g: Graph, s: int, active, cutoff: int):
         core |= grown
 
 
-def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None):
+def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None, core=None):
     """The mask of a connected s-island of g[active] with f <= p, or None.
 
     For connected hereditary f, absence of a connected island implies
@@ -120,6 +132,12 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
     anchors.  None lies in an island: an island vertex has at least
     deg - s + 1 neighbours inside it, so f is at least its value on that
     star, which ``cutoff`` (``star_cutoff(g, f, p)`` unless given) bounds.
+    A caller that has the core passes it as ``core``, and with it vouches
+    that no vertex outside it is a singleton island with f <= p; the
+    singleton scan, lowest vertex first, is then skipped.  A vertex with
+    fewer than s active neighbours is a singleton island, so once the scan
+    finds none with f <= p, no such vertex is a search root either (the
+    search would return it untested).
 
     The search grows an island in ascending order and bans each vertex (an
     anchor included) once its subtree is done; a banned vertex stays outside
@@ -141,18 +159,16 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
         active = g.full_mask()
     if not active:
         return None
-    if cutoff is None:
-        cutoff = star_cutoff(g, f, p)
-    lower = excluded_core(g, s, active, cutoff)
     adj = g.adj
-    # singleton fast path, lowest vertex first; a singleton island with
-    # f > p is no search root either
-    rejected = 0
-    for v in bits(active & ~lower):
-        if (adj[v] & active).bit_count() < s:
-            if f.allows(g, 1 << v, p):
+    if core is None:
+        if cutoff is None:
+            cutoff = star_cutoff(g, f, p)
+        lower = excluded_core(g, s, active, cutoff)
+        for v in bits(active & ~lower):
+            if (adj[v] & active).bit_count() < s and f.allows(g, 1 << v, p):
                 return 1 << v
-            rejected |= 1 << v
+    else:
+        lower = core
 
     def search(island, ext, banned):
         if _is_island(g, island, active, s):
@@ -178,11 +194,69 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
 
     for anchor in bits(active & ~lower):
         abit = 1 << anchor
-        if not abit & rejected and (adj[anchor] & lower).bit_count() < s:
+        if (adj[anchor] & active).bit_count() >= s and (adj[anchor] & lower).bit_count() < s:
             found = search(abit, adj[anchor] & active & ~lower, lower)
             if found:
                 return found
         lower |= abit
+    return None
+
+
+def connected_sets(g: Graph, mask: int, k: int):
+    """Every connected k-vertex set of g[mask], each once, as masks.
+
+    ESU (Wernicke, "Efficient detection of network motifs", IEEE/ACM TCBB
+    2006): anchors in ascending order, each growing only sets whose other
+    vertices lie above it.  A set grows by a vertex u of its extension, and
+    the extension gains only the neighbours of u above the anchor that are
+    neither in nor next to the set, so each set is reached along one path.
+    The extension is drawn lowest vertex first.
+    """
+    adj = g.adj
+
+    def extend(sub, ext, closed, need, above):
+        while ext:
+            u = ext & -ext
+            ext ^= u
+            if need == 1:
+                yield sub | u
+            else:
+                w = adj[u.bit_length() - 1]
+                yield from extend(sub | u, ext | (w & above & ~closed), closed | w, need - 1,
+                                  above)
+
+    for v in bits(mask):
+        bit = 1 << v
+        if k == 1:
+            yield bit
+        elif k > 1:
+            above = mask & -(bit << 1)
+            yield from extend(bit, adj[v] & above, adj[v] | bit, k - 1, above)
+
+
+def _small_island(g, s, f, p, active, core):
+    """The first s-island of g[active] with f <= p and at most
+    ``SMALL_ISLAND`` vertices, smaller sets first and ``connected_sets``
+    order within a size, or None.  Only connected sets outside ``core`` are
+    tried; for size k only vertices with fewer than s + k - 1 active
+    neighbours, since an island vertex has at most k - 1 neighbours inside
+    a k-set and fewer than s outside it."""
+    adj = g.adj
+    outside = active & ~core
+    for v in bits(outside):  # the singletons, lowest first, as ``find_island`` scans them
+        if (adj[v] & active).bit_count() < s and f.allows(g, 1 << v, p):
+            return 1 << v
+    needs = [0] * SMALL_ISLAND  # j -> the vertices j neighbours short of an island
+    for v in bits(outside):
+        short = (adj[v] & active).bit_count() - s + 1
+        if short < SMALL_ISLAND:
+            needs[short if short > 0 else 0] |= 1 << v
+    candidates = needs[0]
+    for k in range(2, SMALL_ISLAND + 1):
+        candidates |= needs[k - 1]
+        for island in connected_sets(g, candidates, k):
+            if _is_island(g, island, active, s) and f.allows(g, island, p):
+                return island
     return None
 
 
@@ -191,13 +265,31 @@ def peel(g: Graph, s: int, f: Parameter, p: int, cutoff=None):
 
     Returns (island masks, 0) when the graph peels away completely, or
     (None, remainder-mask) when an island-free induced subgraph is hit.
+
+    For connected hereditary f each step removes the first island of at
+    most ``SMALL_ISLAND`` vertices (``_small_island``), and only when there
+    is none the one ``find_island`` finds; the excluded core is computed
+    once per step for both, and the small pass's singletons stand in for
+    ``find_island``'s.  Which islands go first does not change the
+    remainder for hereditary f (see the module docstring), and a small
+    island is found in a few class tests where the depth-first search may
+    first exhaust every lower anchor.  Other f take ``find_island``'s
+    islands only.
     """
     if cutoff is None:
         cutoff = star_cutoff(g, f, p)
+    small = f.hereditary and f.connected
     active = g.full_mask()
     islands = []
     while active:
-        island = find_island(g, s, f, p, active, cutoff)
+        if small:
+            core = excluded_core(g, s, active, cutoff)
+            if core == active:  # no vertex left can lie in an island
+                return None, active
+            island = (_small_island(g, s, f, p, active, core)
+                      or find_island(g, s, f, p, active, cutoff, core))
+        else:
+            island = find_island(g, s, f, p, active, cutoff)
         if island is None:
             return None, active
         islands.append(island)
@@ -207,7 +299,12 @@ def peel(g: Graph, s: int, f: Parameter, p: int, cutoff=None):
 
 def col_fp(g: Graph, f: Parameter, p: int) -> ColResult:
     """Exact island coloring number, the peel at that value (the upper
-    certificate) and an island-free mask at one less (the lower)."""
+    certificate) and an island-free mask at one less (the lower).
+
+    For hereditary f the value and the lower certificate, the largest
+    island-free induced subgraph at one less, do not depend on the order in
+    which ``peel`` removes islands; only the upper certificate's islands do,
+    and for connected f they are small islands first."""
     if g.n > COL_N_CAP:
         raise CapExceeded(f"col: n={g.n} exceeds cap {COL_N_CAP}")
     for v in range(g.n):

@@ -126,8 +126,13 @@ def suite_lemma1(graphs=300, max_n=9, trials=50, seed=0):
                 draws = draw_lists(trials * g.n, s, s + 3, rng)  # trial after trial
                 for t in range(trials):
                     lists = draws[t * g.n:(t + 1) * g.n]
-                    coloring = greedy_color(plan, lists)
                     checks += 1
+                    try:
+                        coloring = greedy_color(plan, lists)
+                    except ValueError as stuck:  # no list colour left: the failure looked for
+                        failures.append(_counterexample(g, f=f.id, p=p, s=s, lists=_as_lists(lists),
+                                                        coloring=None, reason=str(stuck)))
+                        continue
                     ok = all(c >= 0 and lst >> c & 1 for lst, c in zip(lists, coloring))
                     ok = ok and all(map(allowed.__getitem__, class_masks(coloring).values()))
                     if not ok:

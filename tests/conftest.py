@@ -141,6 +141,26 @@ def find_island_unpruned(g, s, f, p, active=None, cutoff=None):
     return None
 
 
+def peel_dfs(g, s, f, p, cutoff=None):
+    """``solvers.peel`` before its small-island pass: every step removes the
+    island ``find_island`` finds, for every f.  The reference for the
+    remainder of a stuck peel, and for the islands of non-connected or
+    non-hereditary f."""
+    from fpcolor.solvers import find_island, star_cutoff
+
+    if cutoff is None:
+        cutoff = star_cutoff(g, f, p)
+    active = g.full_mask()
+    islands = []
+    while active:
+        island = find_island(g, s, f, p, active, cutoff)
+        if island is None:
+            return None, active
+        islands.append(island)
+        active &= ~island
+    return islands, 0
+
+
 def brute_find_coloring(order, palette, allowed, hereditary=True):
     """``graph.find_coloring`` before forward checking: the reference for the
     first colouring in vertex order, lowest colour first.  With
@@ -274,12 +294,19 @@ def goldberg_denser_than(g, mask, guess):
     return mask_of(v for i, v in enumerate(verts) if i in into)
 
 
+def nested_code(fn, name):
+    """The code object of the function named ``name`` defined inside ``fn``."""
+    return next(c for c in fn.__code__.co_consts
+                if isinstance(c, types.CodeType) and c.co_name == name)
+
+
 def count_calls(fn, inner, *args, **kwargs):
     """``(fn(*args, **kwargs), calls)``: the calls made to the function named
-    ``inner`` that is defined inside ``fn``, counted by a profile hook on its
-    code object, so the code under test carries no counter."""
-    code = next(c for c in fn.__code__.co_consts
-                if isinstance(c, types.CodeType) and c.co_name == inner)
+    ``inner`` that is defined inside ``fn``, or to the code object ``inner``
+    (from ``nested_code`` or a function's ``__code__``) wherever ``fn``
+    reaches it, counted by a profile hook, so the code under test carries no
+    counter."""
+    code = nested_code(fn, inner) if isinstance(inner, str) else inner
     calls = 0
 
     def profile(frame, event, _arg):

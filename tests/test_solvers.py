@@ -13,16 +13,17 @@ import pytest
 
 from conftest import (brute_chi, brute_choosable, brute_col, brute_find_coloring, count_calls,
                       find_island_unpruned, greedy_per_call, has_island_brute, islands_brute,
-                      load_perfbench)
+                      load_perfbench, nested_code, peel_dfs)
 from fpcolor import constructions as cons
 from fpcolor.errors import CapExceeded
-from fpcolor.graph import ClassOracle, Graph, bits, find_coloring, mask_of
+from fpcolor.graph import ClassOracle, Graph, bits, find_coloring, from_graph6, mask_of
 from fpcolor.params import PARAMETERS, Parameter
 from fpcolor.report import assignment_to_json, verify_certificate
 from fpcolor.solvers import (
     chi_fp,
     col_fp,
     compose_bound,
+    connected_sets,
     decide_choosability_fp,
     degeneracy_col,
     excluded_core,
@@ -37,7 +38,7 @@ from fpcolor.solvers import (
     verify_fp_proper,
     verify_peel,
 )
-from fpcolor import suites
+from fpcolor import solvers, suites
 from fpcolor.suites import (_small_subgraph_densities, choosability_value, draw_lists,
                             random_graph_sample, suite_lemma1)
 
@@ -121,6 +122,79 @@ def test_find_island_search_work_bound():
         island, calls = count_calls(find_island, "search", g, res.value - 1, f, p,
                                     res.lower_certificate)
         assert island is None and calls <= bound, (spec, f.id, calls)
+
+
+def test_small_first_peel_matches_peel_dfs(monkeypatch):
+    """Removing small islands first leaves the remainder, col value and
+    lower certificate of the peel that removes ``find_island``'s islands, on
+    random graphs of at most 14 vertices, p <= 3 and s <= 4.  Its islands
+    are a valid peel; the non-connected ORDER and the non-hereditary
+    ISOLATED keep ``find_island``'s islands exactly."""
+    every_f = [dataclasses.replace(f, evaluator=functools.cache(f.evaluator))
+               for f in (*PARAMETERS.values(), ORDER, ISOLATED)]
+    outcomes = Counter()
+    for g in random_graph_sample(30, 14, 193, min_n=4):
+        for f in every_f:
+            small_first = f.hereditary and f.connected
+            for p, s in product(range(4), range(1, 5)):
+                islands, rest = peel(g, s, f, p)
+                want, want_rest = peel_dfs(g, s, f, p)
+                assert rest == want_rest, (g.edges(), f.id, p, s)
+                if not small_first:
+                    assert islands == want, (g.edges(), f.id, p, s)
+                elif islands is not None:
+                    assert verify_peel(g, islands, s, f, p), (g.edges(), f.id, p, s)
+                    outcomes[islands != want] += 1
+            if small_first:
+                for p in range(4):
+                    try:
+                        res = col_fp(g, f, p)
+                    except ValueError:  # f(single vertex) > p: col is undefined
+                        continue
+                    with monkeypatch.context() as patched:
+                        patched.setattr(solvers, "peel", peel_dfs)
+                        want = col_fp(g, f, p)
+                    assert (res.value, res.lower_certificate) == (
+                        want.value, want.lower_certificate), (g.edges(), f.id, p)
+    assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
+
+
+def _connected(g, mask):
+    seen = frontier = mask & -mask
+    while frontier:
+        grown = 0
+        for v in bits(frontier):
+            grown |= g.adj[v]
+        frontier = grown & mask & ~seen
+        seen |= frontier
+    return seen == mask
+
+
+def test_connected_sets_against_subset_oracle():
+    """ESU yields every connected k-subset of g[mask] for k <= 4 exactly
+    once, lowest vertex (anchor) ascending."""
+    rng = random.Random(197)
+    for g in random_graph_sample(40, 11, 197):
+        for mask in (g.full_mask(), rng.getrandbits(g.n)):
+            for k in range(1, 5):
+                got = list(connected_sets(g, mask, k))
+                want = [x for x in range(1, 1 << g.n)
+                        if not x & ~mask and x.bit_count() == k and _connected(g, x)]
+                assert len(got) == len(set(got)) and sorted(got) == want, (g.edges(), mask, k)
+                anchors = [x & -x for x in got]
+                assert anchors == sorted(anchors)
+
+
+def test_col_small_first_work_bound():
+    """At s = 3 on gnp:48,0.1,1 with mad p = 1, one depth-first search of
+    the peel made 125,199 ``search`` calls to find a 3-vertex island.  With
+    small islands first the whole solve makes 2,809 and 5,053 class tests."""
+    g = cons.random_gnp(48, 0.1, 1)
+    mad = PARAMETERS["mad"]
+    res, searches = count_calls(col_fp, nested_code(find_island, "search"), g, mad, 1)
+    assert res.value == 3 and searches <= 4000, searches
+    res, tests = count_calls(col_fp, Parameter.allows.__code__, g, mad, 1)
+    assert res.value == 3 and tests <= 7000, tests
 
 
 def test_peel_and_verify_peel():
@@ -306,6 +380,15 @@ def test_certificates_are_pinned():
     assert not ok
     assert [list(bits(lst)) for lst in bad] == [
         [0, 1], [2, 3], [0, 2], [0, 3], [1, 2], [1, 3]]
+    # peel islands in removal order: small islands first, then the
+    # depth-first search's ten-vertex island
+    res = col_fp(cons.random_gnp(22, 0.3, 1), FAN, 3)
+    assert [list(bits(m)) for m in res.islands] == [
+        [2], [5], [12], [18], [3, 4], [0, 1, 6, 7, 9, 10, 11, 16, 20, 21],
+        [8], [13], [14], [15], [17], [19]]
+    res = col_fp(cons.random_gnp(16, 0.3, 1), MAX_DEGREE, 2)
+    assert [list(bits(m)) for m in res.islands] == [
+        [3], [8], [10], [5, 12], [13], [7, 15], [2, 4], [6], [0, 1], [9], [11], [14]]
 
 
 def test_choosability_decisions():
@@ -500,25 +583,57 @@ def test_draw_lists_makes_the_draws_of_random_sample():
         draw_lists(1, 3, 2, random.Random(0))
 
 
-def test_lemma1_colorings_pinned():
+def test_lemma1_colorings_pinned(monkeypatch):
     """Every colouring ``suite_lemma1(graphs=60, trials=20)`` checks, hashed in
-    order.  The hash was computed at commit 10a99e5, which drew each list with
-    ``random.sample`` and ran the per-call greedy on every trial."""
-    digest = hashlib.sha256()
+    order.  The first hash was computed at commit 10a99e5, which drew each
+    list with ``random.sample`` and ran the per-call greedy on every trial;
+    it still holds with ``peel_dfs``, the peel of ``find_island``'s islands.
+    The second is that of ``peel``, which removes small islands first, so
+    the greedy colours along other islands."""
     class_masks = suites.class_masks
 
-    def recording(coloring):  # the suite's own check sees every colouring
-        digest.update(repr(tuple(coloring)).encode())
-        return class_masks(coloring)
+    def digest():
+        hashed = hashlib.sha256()
 
-    suites.class_masks = recording
-    try:
-        res = suite_lemma1(graphs=60, trials=20)
-    finally:
-        suites.class_masks = class_masks
-    assert res["passed"] and res["checks"] == 4800
-    assert digest.hexdigest() == (
-        "36cd9164fc3eb2c469f71b92012fd03f1ded7b6b921bb5fc837e6c004234f69a")
+        def recording(coloring):  # the suite's own check sees every colouring
+            hashed.update(repr(tuple(coloring)).encode())
+            return class_masks(coloring)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(suites, "class_masks", recording)
+            res = suite_lemma1(graphs=60, trials=20)
+        assert res["passed"] and res["checks"] == 4800
+        return hashed.hexdigest()
+
+    with monkeypatch.context() as patched:
+        patched.setattr(solvers, "peel", peel_dfs)
+        assert digest() == "36cd9164fc3eb2c469f71b92012fd03f1ded7b6b921bb5fc837e6c004234f69a"
+    assert digest() == "fe80460634e26bc5b006a6d33054f39aa9afa41b5f0df421c0b10b7fd358bd56"
+
+
+def test_lemma1_records_a_stuck_greedy(monkeypatch):
+    """A greedy colouring that runs out of list colours is the failure the
+    suite looks for: it becomes a counterexample bundle, not an error."""
+    greedy_color_ = suites.greedy_color
+    calls = 0
+
+    def stuck_once(plan, lists):
+        nonlocal calls
+        calls += 1
+        if calls == 7:
+            raise ValueError("no available list color at vertex 0")
+        return greedy_color_(plan, lists)
+
+    monkeypatch.setattr(suites, "greedy_color", stuck_once)
+    res = suite_lemma1(graphs=3, trials=5)
+    assert not res["passed"] and res["checks"] == 60
+    [bundle] = res["failures"]
+    assert bundle["coloring"] is None
+    assert bundle["reason"] == "no available list color at vertex 0"
+    assert bundle["f"] == "max-degree" and bundle["p"] == 2
+    g = from_graph6(bundle["graph6"])
+    assert len(bundle["lists"]) == g.n
+    assert all(len(lst) == bundle["s"] for lst in bundle["lists"])
 
 
 def test_small_subgraph_densities_against_definition():
