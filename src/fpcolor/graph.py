@@ -12,8 +12,8 @@ parameter layer, so that ``chi``, list colouring and the chromatic parameter
 all search through it.  It tests colour classes through a ``ClassOracle``,
 a per-solve memo of "may this vertex set form a class" that hands each new
 test the vertex just added as ``new``, the hint ``Parameter.allows`` takes.
-For hereditary parameters it forward-checks: a branch ends as soon as a
-later neighbour of the vertex just coloured has no class, fresh colour or
+Since parameters are hereditary it forward-checks: a branch ends as soon as
+a later neighbour of the vertex just coloured has no class, fresh colour or
 list colour left, which skips only subtrees that hold no colouring.
 """
 
@@ -419,7 +419,7 @@ class ClassOracle(dict):
         return ok
 
 
-def find_coloring(order, palette, allowed, hereditary=True):
+def find_coloring(order, palette, allowed):
     """First colouring of the vertices in ``order`` whose classes are all
     ``allowed`` (a ``ClassOracle``), as a tuple of colours aligned with
     ``order``, or None.
@@ -429,9 +429,9 @@ def find_coloring(order, palette, allowed, hereditary=True):
     colour lists as bitmasks (bit c for colour c), each tried in ascending
     order.  Vertices are coloured in ``order``, colours lowest first.
 
-    With ``hereditary`` a class that is not allowed can never recover once
-    it grows, which gives two cuts.  A partial class that is not allowed
-    ends the branch at once.  And after a vertex joins class c, each later
+    Parameters are hereditary: a class that is not allowed never recovers
+    as it grows, so a partial class that is not allowed ends the branch at
+    once.  And after a vertex joins class c, each later
     neighbour j that may still take colour c is checked for an option left
     (forward checking): with an int palette, a fresh colour while fewer
     than s are open, or else an open class that takes j; with lists, a
@@ -439,8 +439,7 @@ def find_coloring(order, palette, allowed, hereditary=True):
     Both cuts skip only subtrees that hold no colouring, so the first
     colouring found is the one the plain search finds.  A class is only ever
     grown from a set already known to be allowed, so each miss hands the
-    oracle the added vertex as ``new``.  Without ``hereditary`` only the
-    finished classes are tested, at the leaf.
+    oracle the added vertex as ``new``.
     """
     k = len(order)
     free = isinstance(palette, int)
@@ -448,13 +447,12 @@ def find_coloring(order, palette, allowed, hereditary=True):
     colors = [0] * k
     classes = {}
     get, miss = allowed.get, allowed.miss
-    if hereditary:
-        adj, after = allowed.g.adj, 0
-        later = [None] * k  # vertex and bit of each neighbour coloured after order[i]
-        for i in reversed(range(k)):
-            v = order[i]
-            later[i] = [(j, 1 << j) for j in bits(adj[v] & after)]
-            after |= 1 << v
+    adj, after = allowed.g.adj, 0
+    later = [None] * k  # vertex and bit of each neighbour coloured after order[i]
+    for i in reversed(range(k)):
+        v = order[i]
+        later[i] = [(j, 1 << j) for j in bits(adj[v] & after)]
+        after |= 1 << v
 
     def takes(mask, j, jbit):
         """Whether the class ``mask`` (allowed) may take vertex j."""
@@ -484,14 +482,14 @@ def find_coloring(order, palette, allowed, hereditary=True):
 
     def rec(i, used):
         if i == k:
-            return hereditary or all(allowed[m] for m in classes.values() if m)
+            return True
         u = order[i]
         bit = 1 << u
         for c in range(min(used + 1, palette)) if free else choices[u]:
             saved = classes.get(c, 0)
             grown = saved | bit
             opened = max(used, c + 1)
-            if hereditary and (not takes(saved, u, bit) or stranded(i, c, grown, opened)):
+            if not takes(saved, u, bit) or stranded(i, c, grown, opened):
                 continue
             classes[c] = grown
             colors[i] = c

@@ -1,9 +1,12 @@
-"""Pluggable graph parameters with declared structural flags.
+"""Pluggable graph parameters, each hereditary, connected and monotone.
 
 A parameter maps graphs to N (none of the built-ins produce infinity on a
-finite graph); the flags declare heredity, connectedness, monotonicity and
-whether the parameter bounds the average degree.  Flags are declared, not
-inferred; the test suite falsifies wrong declarations at small scale.
+finite graph).  The solvers take three properties of every f on trust:
+hereditary (f(H) <= f(G) for each induced subgraph H: a set that is no
+colour class never becomes one as it grows), connected (f(G) is the largest
+f of a component) and monotone (f(H) <= f(G) for each subgraph H, so a star
+inside a set bounds f of the set).  The test suite falsifies each at small
+scale for every built-in.  ``bounds_avg_degree`` is the one flag that varies.
 
 Conventions on degenerate inputs: every built-in evaluates to 0 on the
 null graph; fan of a single vertex is 1 and fan of any graph with an edge
@@ -38,9 +41,6 @@ FAN_NEIGHBORHOOD_CAP = 20
 @dataclass(frozen=True)
 class Parameter:
     id: str
-    hereditary: bool
-    connected: bool
-    monotone: bool
     bounds_avg_degree: bool
     evaluator: Callable = field(repr=False)
     capped: bool = False  # the evaluator takes ``cap`` and ``new``
@@ -61,12 +61,8 @@ class Parameter:
         return self.eval_mask(g, mask) <= p
 
     def traits(self):
-        return {
-            "hereditary": self.hereditary,
-            "connected": self.connected,
-            "monotone": self.monotone,
-            "bounds_avg_degree": self.bounds_avg_degree,
-        }
+        return {"hereditary": True, "connected": True, "monotone": True,
+                "bounds_avg_degree": self.bounds_avg_degree}
 
 
 def _max_degree(g, mask):
@@ -186,11 +182,11 @@ def _chromatic(g, mask, cap=None, new=None):
 
 
 PARAMETERS = {
-    "max-degree": Parameter("max-degree", True, True, True, True, _max_degree),
-    "star": Parameter("star", True, True, True, True, _star),
-    "mad": Parameter("mad", True, True, True, True, density.mad_floor, capped=True),
-    "fan": Parameter("fan", True, True, True, False, _fan, capped=True),
-    "chromatic": Parameter("chromatic", True, True, True, False, _chromatic, capped=True),
+    "max-degree": Parameter("max-degree", True, _max_degree),
+    "star": Parameter("star", True, _star),
+    "mad": Parameter("mad", True, density.mad_floor, capped=True),
+    "fan": Parameter("fan", False, _fan, capped=True),
+    "chromatic": Parameter("chromatic", False, _chromatic, capped=True),
 }
 
 

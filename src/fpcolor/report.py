@@ -161,6 +161,9 @@ def _vertex_mask(g, vertices):
 
 def verify_certificate(g: Graph, cert: dict) -> bool:
     """Re-check one certificate against the definitions."""
+    for key in ("s", "p"):
+        if key in cert and type(cert[key]) is not int:  # 2.5 and true are refused too
+            raise CertificateError(f"certificate {key} = {cert[key]!r} is not an integer")
     kind = cert.get("type")
     if kind == "peel":
         f = _parameter(cert)

@@ -17,22 +17,21 @@ system is a sequence of such masks indexed by vertex; ``graph.bits`` reads a
 list in ascending colour order.
 
 The island coloring number is computed by iterated island removal rather
-than by its every-induced-subgraph definition; the two agree for hereditary
-parameters (the first peel island meeting an induced subgraph H intersects
+than by its every-induced-subgraph definition; the two agree as f is
+hereditary (the first peel island meeting an induced subgraph H intersects
 it in an island of H).  The definitional brute force lives in the test
 suite as an oracle.  Island results are plain vertex masks: ``find_island``
 returns one, ``peel`` and ``ColResult.islands`` hold them in removal order,
 and only the report layer turns them into certificates.
 
-For hereditary f the same argument makes the peel's outcome independent of
-which islands it removes: an island of A meets any A' inside A in an island
-of A' or in nothing, so the remainder a peel gets stuck on is the largest
-island-free induced subgraph, whatever the order.  So for connected
-hereditary f ``peel`` removes small islands first: each step tries the
-connected sets of at most ``SMALL_ISLAND`` vertices, smallest first,
-enumerated by ESU (``connected_sets``), and runs the depth-first
-``find_island`` only when none is an island.  Values and lower
-certificates are those of any other order; only the islands of upper
+The same argument makes the peel's outcome independent of which islands it
+removes: an island of A meets any A' inside A in an island of A' or in
+nothing, so the remainder a peel gets stuck on is the largest island-free
+induced subgraph, whatever the order.  So ``peel`` removes small islands
+first: each step tries the connected sets of at most ``SMALL_ISLAND``
+vertices, smallest first, enumerated by ESU (``connected_sets``), and runs
+the depth-first ``find_island`` only when none is an island.  Values and
+lower certificates are those of any other order; only the islands of upper
 certificates depend on it.
 """
 
@@ -76,17 +75,15 @@ def _is_island(g, island, active, s):
 
 
 def star_cutoff(g: Graph, f: Parameter, p: int) -> int:
-    """The least k with f(K_{1,k}) > p, for ``excluded_core``.
+    """The least k with f(K_{1,k}) > p, for ``excluded_core``, or max
+    degree + 1, which no vertex reaches.
 
-    Only hereditary monotone f get a cutoff below max degree + 1, which no
-    vertex reaches.  Stars are tried with k = 0, 1, ... and the scan stops
-    early once f stops growing on them (mad, fan and chromatic are at most
-    2 on every star), so a solve pays a few evaluations on stars of at most
-    p + 2 vertices; a cutoff that is too high only rules out fewer vertices.
+    Stars are tried with k = 0, 1, ... and the scan stops early once f stops
+    growing on them (mad, fan and chromatic are at most 2 on every star), so
+    a solve pays a few evaluations on stars of at most p + 2 vertices; a
+    cutoff that is too high only rules out fewer vertices.
     """
     top = g.max_degree()
-    if not (f.hereditary and f.monotone):
-        return top + 1
     star = Graph(top + 1, [(0, leaf) for leaf in range(1, top + 1)])
     last = None
     for k in range(top + 1):
@@ -104,10 +101,10 @@ def excluded_core(g: Graph, s: int, active, cutoff: int):
     ``cutoff`` is ``star_cutoff(g, f, p)``.
 
     A vertex v of an island X has fewer than s neighbours outside X, so at
-    least k = deg(v) - s + 1 inside it: g[X] contains K_{1,k}, and for
-    hereditary monotone f, f(X) >= f(K_{1,k}).  So v is excluded once
-    max(k, 0) >= cutoff, and so is every vertex with s excluded neighbours,
-    which always lie outside X; the rule is applied to a fixed point.
+    least k = deg(v) - s + 1 inside it: g[X] contains K_{1,k}, and as f is
+    monotone, f(X) >= f(K_{1,k}).  So v is excluded once max(k, 0) >=
+    cutoff, and so is every vertex with s excluded neighbours, which always
+    lie outside X; the rule is applied to a fixed point.
     """
     core = 0
     while True:
@@ -124,9 +121,8 @@ def excluded_core(g: Graph, s: int, active, cutoff: int):
 def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None, core=None):
     """The mask of a connected s-island of g[active] with f <= p, or None.
 
-    For connected hereditary f, absence of a connected island implies
-    absence of any island (each component of an island is an island with
-    the same defect bound), so None means no island at all.
+    As f is connected, each component of an island is an island with
+    f <= p, so None means no island at all.
 
     The vertices of ``excluded_core`` start out banned and are never
     anchors.  None lies in an island: an island vertex has at least
@@ -266,30 +262,24 @@ def peel(g: Graph, s: int, f: Parameter, p: int, cutoff=None):
     Returns (island masks, 0) when the graph peels away completely, or
     (None, remainder-mask) when an island-free induced subgraph is hit.
 
-    For connected hereditary f each step removes the first island of at
-    most ``SMALL_ISLAND`` vertices (``_small_island``), and only when there
-    is none the one ``find_island`` finds; the excluded core is computed
-    once per step for both, and the small pass's singletons stand in for
-    ``find_island``'s.  Which islands go first does not change the
-    remainder for hereditary f (see the module docstring), and a small
-    island is found in a few class tests where the depth-first search may
-    first exhaust every lower anchor.  Other f take ``find_island``'s
-    islands only.
+    Each step removes the first island of at most ``SMALL_ISLAND`` vertices
+    (``_small_island``), and only when there is none the one ``find_island``
+    finds; the excluded core is computed once per step for both, and the
+    small pass's singletons stand in for ``find_island``'s.  Which islands
+    go first does not change the remainder (see the module docstring), and
+    a small island is found in a few class tests where the depth-first
+    search may first exhaust every lower anchor.
     """
     if cutoff is None:
         cutoff = star_cutoff(g, f, p)
-    small = f.hereditary and f.connected
     active = g.full_mask()
     islands = []
     while active:
-        if small:
-            core = excluded_core(g, s, active, cutoff)
-            if core == active:  # no vertex left can lie in an island
-                return None, active
-            island = (_small_island(g, s, f, p, active, core)
-                      or find_island(g, s, f, p, active, cutoff, core))
-        else:
-            island = find_island(g, s, f, p, active, cutoff)
+        core = excluded_core(g, s, active, cutoff)
+        if core == active:  # no vertex left can lie in an island
+            return None, active
+        island = (_small_island(g, s, f, p, active, core)
+                  or find_island(g, s, f, p, active, cutoff, core))
         if island is None:
             return None, active
         islands.append(island)
@@ -301,10 +291,10 @@ def col_fp(g: Graph, f: Parameter, p: int) -> ColResult:
     """Exact island coloring number, the peel at that value (the upper
     certificate) and an island-free mask at one less (the lower).
 
-    For hereditary f the value and the lower certificate, the largest
-    island-free induced subgraph at one less, do not depend on the order in
-    which ``peel`` removes islands; only the upper certificate's islands do,
-    and for connected f they are small islands first."""
+    The value and the lower certificate, the largest island-free induced
+    subgraph at one less, do not depend on the order in which ``peel``
+    removes islands; only the upper certificate's islands do, and they are
+    small islands first."""
     if g.n > COL_N_CAP:
         raise CapExceeded(f"col: n={g.n} exceeds cap {COL_N_CAP}")
     for v in range(g.n):
@@ -332,12 +322,11 @@ def chi_fp(g: Graph, f: Parameter, p: int):
     """Least s admitting an (f,p)-proper coloring, with a witness.
 
     ``graph.find_coloring`` tries s = 1, 2, ... over vertices in index
-    order, lowest colour first, with one ``ClassOracle`` for every s.  With
-    hereditary f a partial class already violating f <= p ends the branch
-    (a violation can never recover), and so does a later neighbour of the
+    order, lowest colour first, with one ``ClassOracle`` for every s.  A
+    partial class already violating f <= p ends the branch (f is hereditary,
+    so a violation can never recover), and so does a later neighbour of the
     vertex just coloured that no open class or fresh colour takes any more
     (forward checking); each class test passes the added vertex as ``new``.
-    Otherwise classes are only checked once complete.
     The witness is the first colouring in that order, which neither cut
     changes.
     """
@@ -350,7 +339,7 @@ def chi_fp(g: Graph, f: Parameter, p: int):
         if not allowed[1 << v]:
             raise ValueError(f"chi undefined: f(single vertex {v}) > {p}")
     for s in range(1, g.n + 1):
-        colors = find_coloring(range(g.n), s, allowed, f.hereditary)
+        colors = find_coloring(range(g.n), s, allowed)
         if colors is not None:
             return s, colors
     raise AssertionError("unreachable: singleton classes always color at s = n")
@@ -361,7 +350,7 @@ def exists_L_coloring(g: Graph, lists, f: Parameter, p: int):
     (a color bitmask), or None."""
     if len(lists) != g.n:
         raise ValueError("list assignment domain mismatch")
-    return find_coloring(range(g.n), lists, ClassOracle(g, f.allows, p), f.hereditary)
+    return find_coloring(range(g.n), lists, ClassOracle(g, f.allows, p))
 
 
 def refuse_negative_caps(**caps):
@@ -397,19 +386,19 @@ def decide_choosability_fp(
       color that S leaves empty.  A list of v is safe iff the union of its
       masks misses fewer than s of the colors in use after it, and not the
       empty one; otherwise w's list is s missing colors, old ones first.
-      For hereditary f, c in S counts only if its class k takes v,
-      and w may join class j if class j of c (with v, if j = k) takes it.
-      This is exact: the state set the next level would build differs only
-      by dropping colorings whose classes contain another's, which reach no
-      more colors for w, and class components not next to w, which for
-      connected hereditary f leave every class test on w as it was.
+      A coloring c in S counts only if its class k takes v, and w may join
+      class j if class j of c (with v, if j = k) takes it.  This is exact:
+      the state set the next level would build differs only by dropping
+      colorings whose classes contain another's, which reach no more colors
+      for w, and class components not next to w, which leave every class
+      test on w as it was (f is connected).
     * A state proved to have no bad completion is memoised under a key that
-      forgets what cannot matter below it.  For connected hereditary f each
-      class keeps only its components next to an unlisted vertex (the others
-      can never grow), and a coloring whose classes contain those of another
-      is dropped.  Colors empty in every coloring act as fresh ones and are
-      left out; the rest are put in an order that does not depend on their
-      names.
+      forgets what cannot matter below it.  Each class keeps only its
+      components next to an unlisted vertex (the others can never grow, and
+      f is connected), and a coloring whose classes contain those of
+      another is dropped.  Colors empty in every coloring act as fresh ones
+      and are left out; the rest are put in an order that does not depend
+      on their names.
 
     Pruning only skips subtrees without a bad leaf, so on False the
     certificate is the first bad assignment of the enumeration, its lists as
@@ -417,12 +406,12 @@ def decide_choosability_fp(
     the tuple it tried and makes masks only for the certificate.
     """
     refuse_negative_caps(cap_n=cap_n, cap_s=cap_s)
+    if s < 0:  # a usage error whatever the size of g
+        raise ValueError(f"choosability: list size s={s} is negative")
     if g.n > cap_n:
         raise CapExceeded(f"choosability: n={g.n} exceeds cap {cap_n}")
     if s > cap_s:
         raise CapExceeded(f"choosability: s={s} exceeds cap {cap_s}")
-    if s < 0:
-        raise ValueError(f"choosability: list size s={s} is negative")
     if g.n == 0:
         return True, None
     if g.n == 1:  # defeated only by an empty list or a vertex no class takes
@@ -430,8 +419,7 @@ def decide_choosability_fp(
             return True, None
         return False, ((1 << s) - 1,)
 
-    n, full, hereditary = g.n, g.full_mask(), f.hereditary
-    project = hereditary and f.connected
+    n, full = g.n, g.full_mask()
     order = sorted(range(n), key=g.degree, reverse=True)
     v, w = order[-2:]  # the two vertices that ``settle`` decides together
     allowed = ClassOracle(g, f.allows, p)
@@ -451,19 +439,16 @@ def decide_choosability_fp(
         """Coloring c with vertex order[i] added to class k, as seen from
         depth i + 1, or None if that class is not allowed."""
         u = order[i]
-        if hereditary and not allowed[(c >> k * n & full) | 1 << u]:
+        if not allowed[(c >> k * n & full) | 1 << u]:
             return None
         grown = c | 1 << (u + k * n)
-        if project:
-            near = g.adj[u] | 1 << u
-            for j, m in classes(grown):
-                if m & near:  # keep the class's components next to an unlisted vertex
-                    grown ^= (m ^ reach(g, m & touching[i + 1], m)) << j * n
+        near = g.adj[u] | 1 << u
+        for j, m in classes(grown):
+            if m & near:  # keep the class's components next to an unlisted vertex
+                grown ^= (m ^ reach(g, m & touching[i + 1], m)) << j * n
         return grown
 
     def minimal(colorings):
-        if not project:  # colorings of one vertex set: none contains another
-            return colorings
         kept = []
         for c in sorted(colorings, key=int.bit_count):
             if all(d & ~c for d in kept):
@@ -493,25 +478,18 @@ def decide_choosability_fp(
         the colorings of all other vertices; if so they are written."""
         empty = used + s  # the bit of every color empty in S
         reachable = []  # color k of v -> the colors w can then take
-        if hereditary:
-            vbit, wbit = 1 << v, 1 << w
-            alone = ((2 << s) - 1) << used if allowed[wbit] else 0  # colors empty in S
-            # the colors w can take in c while v is in none of c's classes
-            beside = [alone | sum(allowed[c >> j * n & full | wbit] << j for j in range(used))
-                      for c in S]
-            for k in range(empty):
-                mask, kbit = 0, 1 << k
-                for c, colors in zip(S, beside):
-                    m = c >> k * n & full | vbit
-                    if allowed[m]:  # bit k is w joining v's class
-                        mask |= colors & ~kbit | allowed[m | wbit] << k
-                reachable.append(mask)
-        else:
-            for k in range(empty):
-                grown = [c | 1 << (v + k * n) for c in S]
-                reachable.append(sum(1 << j for j in range(empty + 1) if any(
-                    all(allowed[m] for _, m in classes(d | 1 << (w + j * n)) if m)
-                    for d in grown)))
+        vbit, wbit = 1 << v, 1 << w
+        alone = ((2 << s) - 1) << used if allowed[wbit] else 0  # colors empty in S
+        # the colors w can take in c while v is in none of c's classes
+        beside = [alone | sum(allowed[c >> j * n & full | wbit] << j for j in range(used))
+                  for c in S]
+        for k in range(empty):
+            mask, kbit = 0, 1 << k
+            for c, colors in zip(S, beside):
+                m = c >> k * n & full | vbit
+                if allowed[m]:  # bit k is w joining v's class
+                    mask |= colors & ~kbit | allowed[m | wbit] << k
+            reachable.append(mask)
         for lst, now in candidates(used):
             union = 0
             for k in lst:
@@ -638,12 +616,12 @@ def island_free_exhaustive(g: Graph, s: int, f: Parameter, p: int, active=None):
     The subsets are walked by including or excluding each candidate in
     ascending order, carrying the island X chosen so far and the vertices
     O known to lie outside it (at first the excluded core).  A vertex joins
-    X only while it has fewer than s neighbours in O and, for hereditary f,
-    only while f(X) <= p stays true (no superset of a set with f > p has
-    f <= p).  Putting a vertex in O cuts the branch once a vertex of X has s
-    neighbours in O, since O only grows.  At a leaf O is active minus X, so
-    a nonempty X is an s-island; for a non-hereditary f it is tested there
-    and only there.  No ``new`` hint is passed: no caller is trusted.
+    X only while it has fewer than s neighbours in O and only while
+    f(X) <= p stays true (f is hereditary: no superset of a set with f > p
+    has f <= p).  Putting a vertex in O cuts the branch once a vertex of X
+    has s neighbours in O, since O only grows.  At a leaf O is active minus
+    X, so a nonempty X is an s-island with f <= p.  No ``new`` hint is
+    passed: no caller is trusted.
     """
     if active is None:
         active = g.full_mask()
@@ -653,18 +631,18 @@ def island_free_exhaustive(g: Graph, s: int, f: Parameter, p: int, active=None):
     if k > EXHAUSTIVE_ISLAND_CAP:
         raise CapExceeded(
             f"exhaustive island check: {k} vertices exceeds cap {EXHAUSTIVE_ISLAND_CAP}")
-    adj, hereditary = g.adj, f.hereditary
+    adj = g.adj
 
     def walk(i, island, outside):
         """Whether some completion of (island, outside) past verts[:i] is an
         island with f <= p."""
         if i == k:
-            return bool(island) and (hereditary or f.allows(g, island, p))
+            return bool(island)
         v = verts[i]
         bit = 1 << v
         if (adj[v] & outside).bit_count() < s:
             grown = island | bit
-            if (not hereditary or f.allows(g, grown, p)) and walk(i + 1, grown, outside):
+            if f.allows(g, grown, p) and walk(i + 1, grown, outside):
                 return True
         outside |= bit
         for w in bits(island & adj[v]):

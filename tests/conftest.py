@@ -143,9 +143,8 @@ def find_island_unpruned(g, s, f, p, active=None, cutoff=None):
 
 def peel_dfs(g, s, f, p, cutoff=None):
     """``solvers.peel`` before its small-island pass: every step removes the
-    island ``find_island`` finds, for every f.  The reference for the
-    remainder of a stuck peel, and for the islands of non-connected or
-    non-hereditary f."""
+    island ``find_island`` finds.  The reference for the remainder of a
+    stuck peel."""
     from fpcolor.solvers import find_island, star_cutoff
 
     if cutoff is None:
@@ -161,11 +160,11 @@ def peel_dfs(g, s, f, p, cutoff=None):
     return islands, 0
 
 
-def brute_find_coloring(order, palette, allowed, hereditary=True):
+def brute_find_coloring(order, palette, allowed):
     """``graph.find_coloring`` before forward checking: the reference for the
-    first colouring in vertex order, lowest colour first.  With
-    ``hereditary`` only a partial class that is not allowed ends a branch,
-    and every class test is ``allowed[mask]``, with no ``new`` hint."""
+    first colouring in vertex order, lowest colour first.  Only a partial
+    class that is not allowed ends a branch, and every class test is
+    ``allowed[mask]``, with no ``new`` hint."""
     k = len(order)
     free = isinstance(palette, int)
     choices = None if free else [list(bits(palette[v])) for v in order]
@@ -174,12 +173,12 @@ def brute_find_coloring(order, palette, allowed, hereditary=True):
 
     def rec(i, used):
         if i == k:
-            return hereditary or all(allowed[m] for m in classes.values() if m)
+            return True
         bit = 1 << order[i]
         for c in range(min(used + 1, palette)) if free else choices[i]:
             saved = classes.get(c, 0)
             grown = saved | bit
-            if hereditary and not allowed[grown]:
+            if not allowed[grown]:
                 continue
             classes[c] = grown
             colors[i] = c
@@ -206,7 +205,7 @@ def brute_choosable(g, s, f, p):
 
     def rec(i, used):
         if i == g.n:
-            return brute_find_coloring(range(g.n), lists, allowed, f.hereditary) is None
+            return brute_find_coloring(range(g.n), lists, allowed) is None
         for fresh in range(s + 1):
             fresh_block = ((1 << fresh) - 1) << used
             for old in combinations(range(used), s - fresh):

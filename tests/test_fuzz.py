@@ -80,12 +80,15 @@ json_values = st.recursive(
     max_leaves=4,
 )
 small_ints = st.integers(-1, 6)
+#: list sizes and budgets: mostly ints, and floats and bools that a
+#: certificate must not pass off as ints
+int_like = small_ints | st.booleans() | st.sampled_from((0.5, 1.0, 2.5))
 vertex_lists = st.lists(small_ints, max_size=7)
 #: a value of the right shape for each certificate field
 SHAPES = {
     "f": st.sampled_from(sorted(PARAMETERS)),
-    "p": small_ints,
-    "s": small_ints,
+    "p": int_like,
+    "s": int_like,
     "value": small_ints,
     "islands": st.lists(vertex_lists, max_size=4),
     "vertices": vertex_lists,

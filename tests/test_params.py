@@ -78,7 +78,8 @@ def test_get_parameter():
 
 def test_declared_flags():
     for f in PARAMETERS.values():
-        assert f.hereditary and f.connected and f.monotone
+        traits = f.traits()
+        assert traits["hereditary"] and traits["connected"] and traits["monotone"]
     assert PARAMETERS["max-degree"].bounds_avg_degree
     assert PARAMETERS["star"].bounds_avg_degree
     assert PARAMETERS["mad"].bounds_avg_degree

@@ -418,6 +418,33 @@ def _verify_tampered(tmp_path, capsys, report):
     return run_cli(capsys, "verify", str(path))
 
 
+def _set_everywhere(node, key, value):
+    """Set ``key`` to ``value`` in every dict of ``node`` that holds it, not null."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            if k == key and v is not None:
+                node[k] = value
+            else:
+                _set_everywhere(v, key, value)
+
+
+def test_cli_verify_refuses_non_integer_s_and_p(tmp_path, capsys):
+    """An s or p of 2.5 or true, set alike in a report's certificate, inputs
+    and result, was once checked as if it were an integer, and most such
+    reports verified as "certificate OK"; each is refused in one line."""
+    cases = [(("island", "--gen", "path:4", "--p", "2", "--s", "2"), key, value)
+             for key, value in (("s", 2.5), ("s", True), ("p", 2.5))]
+    cases += [((op, "--gen", "cycle:5", "--p", "1"), "p", 1.5) for op in ("col", "chi")]
+    for argv, key, value in cases:
+        path = tmp_path / "report.json"
+        run_cli(capsys, "solve", *argv, "--f", "star", "--out", str(path))
+        report = json.loads(path.read_text())
+        _set_everywhere(report, key, value)
+        code, out, err = _verify_tampered(tmp_path, capsys, report)
+        assert (code, out, err.count("\n")) == (1, "", 1), (argv, key, value, out)
+        assert "is not an integer" in err, err
+
+
 def test_cli_verify_rejects_an_empty_lower_certificate(tmp_path, capsys):
     """An empty vertex set is vacuously island-free, but proves no lower
     bound: a stuck peel remainder is never empty."""

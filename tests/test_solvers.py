@@ -128,34 +128,29 @@ def test_small_first_peel_matches_peel_dfs(monkeypatch):
     """Removing small islands first leaves the remainder, col value and
     lower certificate of the peel that removes ``find_island``'s islands, on
     random graphs of at most 14 vertices, p <= 3 and s <= 4.  Its islands
-    are a valid peel; the non-connected ORDER and the non-hereditary
-    ISOLATED keep ``find_island``'s islands exactly."""
+    are a valid peel."""
     every_f = [dataclasses.replace(f, evaluator=functools.cache(f.evaluator))
-               for f in (*PARAMETERS.values(), ORDER, ISOLATED)]
+               for f in PARAMETERS.values()]
     outcomes = Counter()
     for g in random_graph_sample(30, 14, 193, min_n=4):
         for f in every_f:
-            small_first = f.hereditary and f.connected
             for p, s in product(range(4), range(1, 5)):
                 islands, rest = peel(g, s, f, p)
                 want, want_rest = peel_dfs(g, s, f, p)
                 assert rest == want_rest, (g.edges(), f.id, p, s)
-                if not small_first:
-                    assert islands == want, (g.edges(), f.id, p, s)
-                elif islands is not None:
+                if islands is not None:
                     assert verify_peel(g, islands, s, f, p), (g.edges(), f.id, p, s)
                     outcomes[islands != want] += 1
-            if small_first:
-                for p in range(4):
-                    try:
-                        res = col_fp(g, f, p)
-                    except ValueError:  # f(single vertex) > p: col is undefined
-                        continue
-                    with monkeypatch.context() as patched:
-                        patched.setattr(solvers, "peel", peel_dfs)
-                        want = col_fp(g, f, p)
-                    assert (res.value, res.lower_certificate) == (
-                        want.value, want.lower_certificate), (g.edges(), f.id, p)
+            for p in range(4):
+                try:
+                    res = col_fp(g, f, p)
+                except ValueError:  # f(single vertex) > p: col is undefined
+                    continue
+                with monkeypatch.context() as patched:
+                    patched.setattr(solvers, "peel", peel_dfs)
+                    want = col_fp(g, f, p)
+                assert (res.value, res.lower_certificate) == (
+                    want.value, want.lower_certificate), (g.edges(), f.id, p)
     assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
 
 
@@ -296,41 +291,10 @@ def test_exists_L_coloring():
         exists_L_coloring(cons.path(3), L, STAR, 1)
 
 
-def _isolated_count(g, mask):
-    return sum(1 for v in bits(mask) if not g.adj[v] & mask)
-
-
-#: isolated vertices of the induced subgraph: not hereditary, since adding a
-#: common neighbour to two isolated vertices lowers the count from 2 to 0
-ISOLATED = Parameter("isolated", False, False, False, False, _isolated_count)
-
-#: vertex count: hereditary, but the sum over components rather than the max
-ORDER = Parameter("order", True, False, True, False, lambda g, mask: mask.bit_count())
-
-
-def test_non_hereditary_parameter_checks_classes_at_the_leaf():
-    # leaves 0, 1 and centre 2: the class {0, 1} fails, its superset {0, 1, 2}
-    # passes, so pruning partial classes would wrongly give 2 instead of 1
-    assert chi_fp(cons.complete_bipartite(2, 1), ISOLATED, 1) == (1, (0, 0, 0))
-    rng = random.Random(137)
-    for g in random_graph_sample(30, 6, 137, min_n=1):
-        s, coloring = chi_fp(g, ISOLATED, 1)
-        assert s == brute_chi(g, ISOLATED, 1)
-        first = next(c for c in product(range(s), repeat=g.n)
-                     if verify_fp_proper(g, c, ISOLATED, 1))
-        assert coloring == first
-        for _ in range(3):
-            L = draw_lists(g.n, 2, 3, rng)
-            first = next((c for c in product(*(bits(lst) for lst in L))
-                          if verify_fp_proper(g, c, ISOLATED, 1)), None)
-            assert exists_L_coloring(g, L, ISOLATED, 1) == first
-
-
 def test_find_coloring_matches_unpruned_search():
     """Forward checking ends only branches that hold no colouring: the same
     first colouring, or None, as the unpruned backtracker, on every built-in
-    parameter, the non-connected ORDER and the non-hereditary ISOLATED, with
-    int palettes 1..chi and with drawn lists, in index order and in a
+    parameter, with int palettes 1..chi and with drawn lists, in index order and in a
     shuffled order over some of the vertices.  Every verdict the search
     stored after a miss with a ``new`` hint is the verdict without it."""
     rng = random.Random(173)
@@ -338,21 +302,20 @@ def test_find_coloring_matches_unpruned_search():
     for g in random_graph_sample(24, 9, 173):
         part = [v for v in range(g.n) if rng.random() < 0.8]
         rng.shuffle(part)
-        for f in (*PARAMETERS.values(), ORDER, ISOLATED):
+        for f in PARAMETERS.values():
             for p in (0, 1, 2):
                 palettes = []
                 for s in range(1, g.n + 1):
                     palettes.append(s)
-                    if brute_find_coloring(range(g.n), s, ClassOracle(g, f.allows, p),
-                                           f.hereditary) is not None:
+                    if brute_find_coloring(range(g.n), s,
+                                           ClassOracle(g, f.allows, p)) is not None:
                         break  # s is chi
                 palettes += [draw_lists(g.n, s, s + 2, rng) for s in (1, 2, 3)]
                 for palette in palettes:
                     for order in (range(g.n), part):
                         allowed = ClassOracle(g, f.allows, p)
-                        got = find_coloring(order, palette, allowed, f.hereditary)
-                        want = brute_find_coloring(order, palette, ClassOracle(g, f.allows, p),
-                                                   f.hereditary)
+                        got = find_coloring(order, palette, allowed)
+                        want = brute_find_coloring(order, palette, ClassOracle(g, f.allows, p))
                         assert got == want, (g.edges(), f.id, p, palette, list(order))
                         assert all(ok == f.allows(g, m, p) for m, ok in allowed.items())
                         outcomes[got is None] += 1
@@ -404,8 +367,10 @@ def test_choosability_decisions():
     assert ok
     ok, cert = decide_choosability_fp(cons.cycle(4), 0, STAR, 1)
     assert not ok and cert == (0,) * 4
-    with pytest.raises(ValueError):
-        decide_choosability_fp(cons.cycle(4), -1, STAR, 1)
+    # a negative s is refused before either cap is checked
+    for g in (cons.cycle(4), cons.random_gnp(12, 0.3, 1)):
+        with pytest.raises(ValueError, match="s=-1 is negative"):
+            decide_choosability_fp(g, -1, STAR, 1)
     for caps in ({"cap_n": -1}, {"cap_s": -1}):
         with pytest.raises(ValueError, match="negative"):
             decide_choosability_fp(cons.cycle(4), 2, STAR, 1, **caps)
@@ -419,18 +384,19 @@ def test_choosability_decisions():
 
 def test_choosability_matches_brute_enumeration():
     """The memoised search against the plain list-system enumerator, on every
-    built-in parameter, on the non-connected ORDER and on ISOLATED, which is
-    neither hereditary nor connected."""
-    every_f = (*PARAMETERS.values(), ORDER, ISOLATED)
-    inputs = [(g, f, p, s) for g in random_graph_sample(14, 5, 139)
+    built-in parameter."""
+    every_f = PARAMETERS.values()
+    inputs = [(g, f, p, s) for g in random_graph_sample(20, 5, 139)
               for f in every_f for p in (1, 2) for s in (1, 2)]
     # the enumerator takes about a second per 2-choosable 6-vertex case
-    inputs += [(g, f, p, 2) for g in random_graph_sample(1, 6, 149, min_n=6)
-               for f in (STAR, ISOLATED) for p in (1, 2)]
+    inputs += [(g, STAR, p, 2) for g in random_graph_sample(1, 6, 149, min_n=6) for p in (1, 2)]
     # three or more old colours per list: only s = 3 reaches them, and the
     # enumerator takes about a second per 4-vertex graph there
-    inputs += [(g, f, p, 3) for g in random_graph_sample(4, 4, 151, min_n=4)
+    inputs += [(g, f, p, 3) for g in random_graph_sample(6, 4, 151, min_n=4)
                for f in every_f for p in (0, 1, 2)]
+    # at the least p a vertex passes, every built-in asks for a proper
+    # colouring, and K5 needs five colours: false at the enumerator's first leaf
+    inputs += [(cons.complete(5), f, f.eval(Graph(1)), 3) for f in every_f]
     cases = Counter()
     false_cases = Counter()
     for g, f, p, s in inputs:
@@ -445,36 +411,31 @@ def test_choosability_matches_brute_enumeration():
             continue
         false_cases[s] += 1
         assert all(lst.bit_count() == s for lst in bad)
-        if f.id in PARAMETERS:
-            assert verify_certificate(g, assignment_to_json(bad, s, f.id, p))
-        else:
-            assert not any(verify_fp_proper(g, c, f, p)
-                           for c in product(*(bits(lst) for lst in bad)))
+        assert verify_certificate(g, assignment_to_json(bad, s, f.id, p))
         if sorted(range(g.n), key=g.degree, reverse=True) == list(range(g.n)):
             # the search visits vertices in index order: the same first bad leaf
             assert bad == want_lists, (g.edges(), f.id, p, s)
     assert cases[1] + cases[2] > 350 and false_cases[1] + false_cases[2] > 100
-    assert cases[3] == 64 and false_cases[3] > 5, (cases, false_cases)
+    assert cases[3] == 77 and false_cases[3] > 5, (cases, false_cases)
 
 
 def test_choosability_certificates_pinned():
-    """Answers and certificates of 3,213 seeded decisions, hashed.  Covers
-    n <= 6 (s = 3 at n <= 5), every built-in parameter, ORDER and ISOLATED,
-    p = 0..2 and s = 0..3.  The hash was computed by the search of commit
-    19c1d3c, which still built a state set for the last vertex and decided
-    it alone, so settling the last two vertices together changed no output."""
-    every_f = (*PARAMETERS.values(), ORDER, ISOLATED)
+    """Answers and certificates of 2,295 seeded decisions, hashed.  Covers
+    n <= 6 (s = 3 at n <= 5), every built-in parameter, p = 0..2 and
+    s = 0..3.  The hash was computed by the search of commit 8e07e24, which
+    still kept code paths for parameters that are not hereditary or not
+    connected, so deleting them changed no output."""
     decisions = []
     for g in random_graph_sample(40, 6, 163):
-        for f in every_f:
+        for f in PARAMETERS.values():
             for p in range(3):
                 for s in range(4 if g.n <= 5 else 3):
                     ok, bad = decide_choosability_fp(g, s, f, p)
                     decisions.append([ok, None if ok else [list(bits(lst)) for lst in bad]])
     text = json.dumps(decisions, separators=(",", ":"))
-    assert len(decisions) == 3213 and sum(not ok for ok, _ in decisions) == 1862
+    assert len(decisions) == 2295 and sum(not ok for ok, _ in decisions) == 1245
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "0538c6b0e9077731337c1824ea1a4ad346c8c9038c48787a8763439e238fc91b")
+        "390fb4bd49394818f5f2c625711e8559b8e8f65b6ff4de45f389c8468ba2978e")
 
 
 def test_choosability_search_work_bound():
@@ -511,7 +472,7 @@ def test_choosability_monotone_in_s():
 
 
 def test_sandwich_chain():
-    """chi <= list-chromatic <= col for a connected hereditary parameter."""
+    """chi <= list-chromatic <= col."""
     for g in random_graph_sample(10, 4, 127):
         for p in (1, 2):
             col = col_fp(g, STAR, p).value
@@ -666,12 +627,10 @@ def test_island_free_exhaustive_on_masks():
 
 def test_island_free_walk_against_subset_oracle():
     """The pruned walk against every subset of g[active], on random graphs
-    whose core leaves 10 to 16 candidates, for every built-in parameter, the
-    non-connected ORDER and the non-hereditary ISOLATED, which the walk may
-    test only on whole islands."""
+    whose core leaves 10 to 16 candidates, for every built-in parameter."""
     rng = random.Random(167)
     every_f = [dataclasses.replace(f, evaluator=functools.cache(f.evaluator))
-               for f in (*PARAMETERS.values(), ORDER, ISOLATED)]
+               for f in PARAMETERS.values()]
     outcomes = Counter()
     for _ in range(14):
         n = rng.randint(10, 16)
@@ -691,8 +650,8 @@ def test_island_free_walk_against_subset_oracle():
                         g.edges(), active, f.id, p, s)
                     outcomes[f.id, free] += 1
                     outcomes[k] += 1
-    # the core rules out high-degree vertices for star, max-degree and ORDER,
-    # so with 10 or more candidates only the other parameters are island-free
+    # the core rules out high-degree vertices for star and max-degree, so
+    # with 10 or more candidates only the other parameters are island-free
     assert all(outcomes[f.id, False] for f in every_f), outcomes
     assert all(outcomes[f_id, True] for f_id in ("mad", "fan", "chromatic")), outcomes
     assert outcomes[16] and outcomes[15], outcomes
@@ -724,13 +683,12 @@ def _is_island_of(g, island, active, s):
 
 def test_excluded_core_against_brute_force():
     """No excluded vertex lies in an island, and the searches that use the
-    core agree with the definitional oracles, for every built-in parameter
-    and the non-connected ORDER."""
+    core agree with the definitional oracles, for every built-in parameter."""
     rng = random.Random(157)
     excluded = covered = 0
     for g in random_graph_sample(30, 8, 157, min_n=4):
         full = g.full_mask()
-        for f in (*PARAMETERS.values(), ORDER):
+        for f in PARAMETERS.values():
             # the oracles re-evaluate the same masks many times
             f = dataclasses.replace(f, evaluator=functools.cache(f.evaluator))
             for p in range(4):
@@ -750,15 +708,6 @@ def test_excluded_core_against_brute_force():
                 if all(f.eval_mask(g, 1 << v) <= p for v in range(g.n)):
                     assert col_fp(g, f, p).value == brute_col(g, f, p), (g.edges(), f.id, p)
     assert excluded > 3000 and covered > 500, (excluded, covered)
-
-
-def test_non_hereditary_parameter_excludes_nothing():
-    for g in random_graph_sample(20, 8, 163):
-        for p in range(4):
-            cutoff = star_cutoff(g, ISOLATED, p)
-            assert cutoff == g.max_degree() + 1
-            for s in (1, 2, 3):
-                assert excluded_core(g, s, g.full_mask(), cutoff) == 0
 
 
 def test_col_work_count_with_excluded_core():
