@@ -1,7 +1,9 @@
 """Exact solvers for generalized colorings and island coloring numbers.
 
-Everything here is deterministic: search ties break lowest-vertex-first and
-lowest-color-first, so certificates are reproducible bit for bit.
+Everything here is deterministic, so certificates are reproducible bit for
+bit.  Witness colourings break ties lowest-vertex-first and
+lowest-color-first; ``chi_fp`` refutes the colour counts below chi along a
+smallest-last order instead, which emits nothing.
 
 Every class test is ``Parameter.allows``, which asks only whether
 f(class) <= p; exact values of f are left to reports.  ``chi_fp`` and
@@ -321,14 +323,20 @@ def degeneracy_col(g: Graph) -> int:
 def chi_fp(g: Graph, f: Parameter, p: int):
     """Least s admitting an (f,p)-proper coloring, with a witness.
 
-    ``graph.find_coloring`` tries s = 1, 2, ... over vertices in index
-    order, lowest colour first, with one ``ClassOracle`` for every s.  A
-    partial class already violating f <= p ends the branch (f is hereditary,
-    so a violation can never recover), and so does a later neighbour of the
-    vertex just coloured that no open class or fresh colour takes any more
-    (forward checking); each class test passes the added vertex as ``new``.
-    The witness is the first colouring in that order, which neither cut
-    changes.
+    Every search is ``graph.find_coloring``, lowest colour first, with one
+    ``ClassOracle`` for the whole solve.  A partial class already violating
+    f <= p ends a branch (f is hereditary, so a violation can never recover),
+    and so does a later neighbour of the vertex just coloured that no open
+    class or fresh colour takes any more (forward checking); each class test
+    passes the added vertex as ``new``.
+
+    Whether s colours suffice does not depend on the vertex order, so the
+    refutations run along a smallest-last order (Matula and Beck 1983), the
+    reverse of ``core_numbers``' peel, where they take far fewer class
+    tests than along index order.  First fit along that order bounds chi by
+    its class count U; s = 1 .. U-1 are searched along it, and the first s
+    that colours, or else U, is chi.  The witness is then the first
+    colouring at chi in index order, which neither cut changes.
     """
     if g.n > CHI_N_CAP:
         raise CapExceeded(f"chi: n={g.n} exceeds cap {CHI_N_CAP}")
@@ -338,11 +346,22 @@ def chi_fp(g: Graph, f: Parameter, p: int):
     for v in range(g.n):
         if not allowed[1 << v]:
             raise ValueError(f"chi undefined: f(single vertex {v}) > {p}")
-    for s in range(1, g.n + 1):
-        colors = find_coloring(range(g.n), s, allowed)
-        if colors is not None:
-            return s, colors
-    raise AssertionError("unreachable: singleton classes always color at s = n")
+    order = tuple(reversed(core_numbers(g, g.full_mask())))
+    classes = []  # first fit along order: each vertex joins the first class that takes it
+    for v in order:
+        for c, mask in enumerate(classes):
+            grown = mask | 1 << v
+            ok = allowed.get(grown)
+            if ok is None:
+                ok = allowed.miss(grown, v)
+            if ok:
+                classes[c] = grown
+                break
+        else:
+            classes.append(1 << v)
+    top = len(classes)
+    chi = next((s for s in range(1, top) if find_coloring(order, s, allowed) is not None), top)
+    return chi, find_coloring(range(g.n), chi, allowed)
 
 
 def exists_L_coloring(g: Graph, lists, f: Parameter, p: int):

@@ -374,6 +374,7 @@ def suite_pipeline(n=200, d=64, s=2, k=1, seeds=20, trials=100,
     verifies the monochromatic-dense-subgraph implication on sampled list
     colorings with zero tolerance.
     """
+    _at_least(1, seeds=seeds)
     runs = []
     count_a = count_b = 0
     implication_failures = []

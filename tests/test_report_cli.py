@@ -3,8 +3,12 @@
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -183,6 +187,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_python_m_fpcolor_runs_the_cli(tmp_path):
+    """``python -m fpcolor`` is the ``fpcolor`` command, exit code included."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out_file = tmp_path / "chi.json"
+    done = subprocess.run([sys.executable, "-m", "fpcolor", "solve", "chi", "--gen", "cycle:5",
+                           "--f", "star", "--p", "1", "--out", str(out_file)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out_file.read_text())["result"]["value"] == 3
+    refused = subprocess.run([sys.executable, "-m", "fpcolor", "lemma", "pipeline", "--seeds", "0"],
+                             env=env, capture_output=True, text=True, timeout=60)
+    assert refused.returncode == 2, refused.stderr
 
 
 def test_cli_builds_its_parser_once(capsys, monkeypatch):
@@ -740,7 +759,8 @@ def test_cli_lemma_refuses_sizes_that_check_nothing(capsys):
                           (("path", "--trials", "0"), "--trials must be at least 1, got 0"),
                           (("mindeg", "--graphs", "0"), "--graphs must be at least 1, got 0"),
                           (("coldens", "--graphs", "2", "--max-n", "0"),
-                           "--max-n must be at least 1, got 0")):
+                           "--max-n must be at least 1, got 0"),
+                          (("pipeline", "--seeds", "0"), "--seeds must be at least 1, got 0")):
         code, out, err = run_cli(capsys, "lemma", *argv)
         assert code == 2 and out == "" and err == f"error: {message}\n", (argv, err)
 

@@ -277,6 +277,63 @@ def test_chi_known_values():
     assert chi_fp(cons.cycle(5), STAR, 2)[0] == 2
 
 
+def test_chi_matches_index_order_oracles(monkeypatch):
+    """The smallest-last refutations change neither value nor witness: on
+    every built-in parameter and p = 0..3, chi_fp gives the least s at which
+    the unpruned index-order backtracker colours, with its first colouring
+    as the witness, and brute_chi's product enumeration agrees wherever it
+    is affordable.  chi_fp makes one search per refuted s, one more if
+    first fit's class count U exceeds chi, and one for the witness, so the
+    count of searches tells which exit each case took."""
+    searches = 0
+
+    def counted(*args):
+        nonlocal searches
+        searches += 1
+        return find_coloring(*args)
+
+    monkeypatch.setattr(solvers, "find_coloring", counted)
+    rng = random.Random(331)
+    cases, checked = Counter(), set()
+    for g in random_graph_sample(300, 12, 331):
+        for f in PARAMETERS.values():
+            p = rng.randrange(4)
+            if not f.allows(g, 1, p):  # every vertex alike: a single vertex exceeds p
+                with pytest.raises(ValueError, match="chi undefined"):
+                    chi_fp(g, f, p)
+                continue
+            searches = 0
+            value, witness = chi_fp(g, f, p)
+            assert searches in (value, value + 1)
+            allowed = ClassOracle(g, f.allows, p)
+            assert witness == brute_find_coloring(range(g.n), value, allowed), (g.edges(), f.id, p)
+            assert brute_find_coloring(range(g.n), value - 1, allowed) is None
+            if value ** g.n <= 20000:
+                assert value == brute_chi(g, f, p), (g.edges(), f.id, p)
+                cases["product"] += 1
+            checked.add((f.id, p))
+            cases["chi >= 3"] += value >= 3
+            cases["U > chi" if searches == value + 1 else "U = chi"] += 1
+    assert checked == {(f.id, p) for f in PARAMETERS.values() for p in range(4)
+                       if f.allows(Graph(1), 1, p)}
+    assert cases["product"] >= 1000 and cases["chi >= 3"] >= 100, cases
+    assert cases["U > chi"] >= 30 and cases["U = chi"] >= 300, cases
+
+
+def test_chi_refutation_work_bound():
+    """Class tests of a whole chi solve.  Refuting along index order took
+    7,475 on fan/2, 4,707 on max-degree/1 and 2,525 on star/2 (the three
+    chi jobs of the certify benchmark), and 402 on the density benchmark's
+    mad/1 job; along a smallest-last order below first fit's bound they
+    take 137, 333, 1,797 and 422."""
+    for g, f, p, bound in ((cons.random_gnp(22, 0.4, 1), FAN, 2, 400),
+                           (cons.random_gnp(24, 0.3, 1), MAX_DEGREE, 1, 800),
+                           (cons.random_gnp(24, 0.5, 1), STAR, 2, 2300),
+                           (cons.random_gnp(16, 0.4, 1), PARAMETERS["mad"], 1, 440)):
+        _, tests = count_calls(chi_fp, Parameter.allows.__code__, g, f, p)
+        assert tests <= bound, (g.name, f.id, p, tests)
+
+
 def test_exists_L_coloring():
     c4 = cons.cycle(4)
     L = [0b11] * 4
