@@ -62,9 +62,9 @@ def load_graph(args):
     if getattr(args, "graph", None):
         with open(args.graph) as fh:
             text = fh.read()
-        stripped = text.strip()
-        if "\n" not in stripped and " " not in stripped and stripped:
-            return from_graph6(stripped)
+        tokens = text.split(None, 1)  # graph6 is one token, an edge list at least two
+        if len(tokens) == 1:
+            return from_graph6(tokens[0])
         return from_edge_list(text)
     raise GraphError("no graph given: use --graph FILE or --gen NAME[:args]")
 

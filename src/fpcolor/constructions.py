@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from fpcolor import density
 from fpcolor.graph import (Graph, average_degree, bits, class_masks, component_sizes, girth,
@@ -29,23 +29,23 @@ DOMINATION_EXACT_CAP = 10**6
 
 
 def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)], name=f"P{n}")
+    return Graph(n, ((i, i + 1) for i in range(n - 1)), name=f"P{n}")
 
 
 def cycle(n):
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)], name=f"C{n}")
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)), name=f"C{n}")
 
 
 def complete(n):
-    return Graph(n, list(combinations(range(n), 2)), name=f"K{n}")
+    return Graph(n, combinations(range(n), 2), name=f"K{n}")
 
 
 def complete_bipartite(a, b):
     if a < 0 or b < 0:
         raise ValueError("complete_bipartite needs part sizes >= 0")
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)], name=f"K{a},{b}")
+    return Graph(a + b, ((i, a + j) for i in range(a) for j in range(b)), name=f"K{a},{b}")
 
 
 def edgeless(n):
@@ -76,8 +76,8 @@ def fan_join(i):
     if i < 1:
         raise ValueError("fan_join needs i >= 1")
     m = i * i
-    edges = [(v, v + 1) for v in range(m - 1)]
-    edges += [(v, m + a) for v in range(m) for a in range(i)]
+    edges = chain(((v, v + 1) for v in range(m - 1)),
+                  ((v, m + a) for v in range(m) for a in range(i)))
     return Graph(m + i, edges, name=f"fan_join({i})")
 
 
@@ -85,7 +85,7 @@ def path_power(n, t):
     """t-th distance power of the n-vertex path: i ~ j iff 1 <= |i-j| <= t."""
     if n < 1 or t < 1:
         raise ValueError("path_power needs n >= 1 and t >= 1")
-    edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + t, n - 1) + 1)]
+    edges = ((i, j) for i in range(n) for j in range(i + 1, min(i + t, n - 1) + 1))
     return Graph(n, edges, name=f"P{n}^{t}")
 
 
@@ -96,9 +96,7 @@ def random_gnp(n, prob, seed, name=""):
     if not 0 <= prob <= 1:
         raise ValueError(f"edge probability {prob} out of [0,1]")
     rng = random.Random(seed)
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob
-    ]
+    edges = ((u, v) for u, v in combinations(range(n), 2) if rng.random() < prob)
     return Graph(n, edges, name=name or f"gnp({n},{prob},{seed})")
 
 
@@ -111,11 +109,7 @@ def random_bipartite(n, d, seed):
         raise ValueError(f"edge probability d/n = {prob} out of [0,1]")
     rng = random.Random(seed)
     p = float(prob)
-    edges = []
-    for u in range(n):
-        for v in range(n):
-            if rng.random() < p:
-                edges.append((u, n + v))
+    edges = ((u, n + v) for u in range(n) for v in range(n) if rng.random() < p)
     return Graph(2 * n, edges, name=f"bipartite({n},{d},{seed})")
 
 

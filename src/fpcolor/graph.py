@@ -8,13 +8,14 @@ turns them into certificates.  ``induced_subgraph`` builds a relabelled copy
 for callers that want a standalone graph; nothing in the package needs one.
 
 The one colouring backtracker (``find_coloring``) lives here too, below the
-parameter layer, so that ``chi``, list colouring and the chromatic parameter
-all search through it.  It tests colour classes through a ``ClassOracle``,
-a per-solve memo of "may this vertex set form a class" that hands each new
-test the vertex just added as ``new``, the hint ``Parameter.allows`` takes.
-Since parameters are hereditary it forward-checks: a branch ends as soon as
-a later neighbour of the vertex just coloured has no class, fresh colour or
-list colour left, which skips only subtrees that hold no colouring.
+parameter layer, so that ``chi`` and the chromatic parameter both search
+through it, with s interchangeable colours.  It tests colour classes
+through a ``ClassOracle``, a per-solve memo of "may this vertex set form a
+class" that hands each new test the vertex just added as ``new``, the hint
+``Parameter.allows`` takes.  Since parameters are hereditary it
+forward-checks: a branch ends as soon as a later neighbour of the vertex
+just coloured has no open class or fresh colour left, which skips only
+subtrees that hold no colouring.
 """
 
 from __future__ import annotations
@@ -279,16 +280,7 @@ def components(g, within=None):
     todo = g.full_mask() if within is None else within
     out = []
     while todo:
-        start = todo & -todo
-        comp = start
-        frontier = start
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= g.adj[v]
-            grow &= todo & ~comp
-            comp |= grow
-            frontier = grow
+        comp = reach(g, todo & -todo, todo)
         out.append(comp)
         todo &= ~comp
     return out
@@ -419,31 +411,25 @@ class ClassOracle(dict):
         return ok
 
 
-def find_coloring(order, palette, allowed):
-    """First colouring of the vertices in ``order`` whose classes are all
-    ``allowed`` (a ``ClassOracle``), as a tuple of colours aligned with
-    ``order``, or None.
-
-    ``palette`` is either an int s, for colours 0..s-1 that are
-    interchangeable (a vertex may open at most one new colour), or per-vertex
-    colour lists as bitmasks (bit c for colour c), each tried in ascending
-    order.  Vertices are coloured in ``order``, colours lowest first.
+def find_coloring(order, s, allowed):
+    """First colouring of the vertices in ``order`` with s interchangeable
+    colours 0..s-1 whose classes are all ``allowed`` (a ``ClassOracle``), as
+    a tuple of colours aligned with ``order``, or None.  Vertices are
+    coloured in ``order``, colours lowest first, and a vertex opens at most
+    one new colour; with s at least the number of vertices, the first leaf
+    is first fit.
 
     Parameters are hereditary: a class that is not allowed never recovers
     as it grows, so a partial class that is not allowed ends the branch at
-    once.  And after a vertex joins class c, each later
-    neighbour j that may still take colour c is checked for an option left
-    (forward checking): with an int palette, a fresh colour while fewer
-    than s are open, or else an open class that takes j; with lists, a
-    colour of j's list whose class takes j.  A j with none ends the branch.
-    Both cuts skip only subtrees that hold no colouring, so the first
-    colouring found is the one the plain search finds.  A class is only ever
-    grown from a set already known to be allowed, so each miss hands the
-    oracle the added vertex as ``new``.
+    once.  And once s colours are open, after a vertex joins class c each
+    later neighbour j is checked for an open class that still takes it
+    (forward checking); a j with none ends the branch.  Both cuts skip only
+    subtrees that hold no colouring, so the first colouring found is the one
+    the plain search finds.  A class is only ever grown from a set already
+    known to be allowed, so each miss hands the oracle the added vertex as
+    ``new``.
     """
     k = len(order)
-    free = isinstance(palette, int)
-    choices = None if free else {v: list(bits(palette[v])) for v in order}
     colors = [0] * k
     classes = {}
     get, miss = allowed.get, allowed.miss
@@ -464,16 +450,10 @@ def find_coloring(order, palette, allowed):
     def stranded(i, c, grown, opened):
         """Whether class c, grown to ``grown`` by order[i], leaves a later
         neighbour with no option; ``opened`` colours are then open."""
-        if free and opened < palette:  # every vertex may still open a colour
+        if opened < s:  # every vertex may still open a colour
             return False
         for j, jbit in later[i]:
-            if free:
-                options = range(opened)
-            elif palette[j] >> c & 1:
-                options = choices[j]
-            else:  # class c was never an option of j
-                continue
-            for d in options:
+            for d in range(opened):
                 if takes(grown if d == c else classes.get(d, 0), j, jbit):
                     break
             else:
@@ -485,7 +465,7 @@ def find_coloring(order, palette, allowed):
             return True
         u = order[i]
         bit = 1 << u
-        for c in range(min(used + 1, palette)) if free else choices[u]:
+        for c in range(min(used + 1, s)):
             saved = classes.get(c, 0)
             grown = saved | bit
             opened = max(used, c + 1)

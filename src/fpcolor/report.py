@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product
 
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import Graph, GraphError, bits, from_graph6, mask_of
 from fpcolor.params import get_parameter
 from fpcolor.solvers import (
     ColResult,
+    exists_L_coloring,
     island_free_exhaustive,
     verify_fp_proper,
     verify_peel,
@@ -228,10 +228,13 @@ def verify_certificate(g: Graph, cert: dict) -> bool:
             total *= len(lst)
             if total > BAD_ASSIGNMENT_VERIFY_CAP:
                 raise CertificateError("bad-assignment certificate unverifiable at cap")
-        for combo in product(*lists):
-            if verify_fp_proper(g, combo, f, cert["p"]):
-                return False  # a proper coloring exists: not a counterexample
-        return True
+        if not total:  # an empty list: no colouring, and no list need be read as masks
+            return True
+        # colours renamed 0..u-1 in sorted order: a bijection, so the verdict and
+        # the order of the checked colourings stay, and no colour is a huge shift
+        rename = {c: i for i, c in enumerate(sorted({c for lst in lists for c in lst}))}
+        masks = [mask_of(rename[c] for c in lst) for lst in lists]
+        return exists_L_coloring(g, masks, f, cert["p"]) is None
     raise CertificateError(f"unknown certificate type {kind!r}")
 
 

@@ -6,13 +6,16 @@ lowest-color-first; ``chi_fp`` refutes the colour counts below chi along a
 smallest-last order instead, which emits nothing.
 
 Every class test is ``Parameter.allows``, which asks only whether
-f(class) <= p; exact values of f are left to reports.  ``chi_fp`` and
-``exists_L_coloring`` only set up calls to the one colouring backtracker,
-``graph.find_coloring``.  Each solve builds one ``graph.ClassOracle`` that
+f(class) <= p; exact values of f are left to reports.  ``chi_fp`` only sets
+up calls to the one colouring backtracker, ``graph.find_coloring``, with s
+interchangeable colours.  Each solve builds one ``graph.ClassOracle`` that
 tests each vertex set once:
 ``chi_fp`` shares it across every colour count it tries, and
 ``decide_choosability_fp`` across its whole adversary search, which tracks the
 feasible partial colourings itself instead of colouring each list system.
+``exists_L_coloring`` is the definition-level check of one list system that
+``verify`` runs on a bad list assignment: it tries every colouring from the
+lists and calls no backtracker.
 
 A colour list is an int bitmask, bit c standing for colour c, and a list
 system is a sequence of such masks indexed by vertex; ``graph.bits`` reads a
@@ -40,7 +43,7 @@ certificates depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import (ClassOracle, Graph, bits, class_masks, core_numbers, find_coloring,
@@ -333,10 +336,11 @@ def chi_fp(g: Graph, f: Parameter, p: int):
     Whether s colours suffice does not depend on the vertex order, so the
     refutations run along a smallest-last order (Matula and Beck 1983), the
     reverse of ``core_numbers``' peel, where they take far fewer class
-    tests than along index order.  First fit along that order bounds chi by
-    its class count U; s = 1 .. U-1 are searched along it, and the first s
-    that colours, or else U, is chi.  The witness is then the first
-    colouring at chi in index order, which neither cut changes.
+    tests than along index order.  First fit along that order, the first
+    leaf of a search with n colours, bounds chi by its class count U;
+    s = 1 .. U-1 are searched along it, and the first s that colours, or
+    else U, is chi.  The witness is then the first colouring at chi in index
+    order, which neither cut changes.
     """
     if g.n > CHI_N_CAP:
         raise CapExceeded(f"chi: n={g.n} exceeds cap {CHI_N_CAP}")
@@ -347,29 +351,22 @@ def chi_fp(g: Graph, f: Parameter, p: int):
         if not allowed[1 << v]:
             raise ValueError(f"chi undefined: f(single vertex {v}) > {p}")
     order = tuple(reversed(core_numbers(g, g.full_mask())))
-    classes = []  # first fit along order: each vertex joins the first class that takes it
-    for v in order:
-        for c, mask in enumerate(classes):
-            grown = mask | 1 << v
-            ok = allowed.get(grown)
-            if ok is None:
-                ok = allowed.miss(grown, v)
-            if ok:
-                classes[c] = grown
-                break
-        else:
-            classes.append(1 << v)
-    top = len(classes)
+    top = 1 + max(find_coloring(order, g.n, allowed))
     chi = next((s for s in range(1, top) if find_coloring(order, s, allowed) is not None), top)
     return chi, find_coloring(range(g.n), chi, allowed)
 
 
 def exists_L_coloring(g: Graph, lists, f: Parameter, p: int):
-    """An (f,p)-proper coloring with each vertex's color drawn from its list
-    (a color bitmask), or None."""
+    """The first (f,p)-proper coloring with each vertex's color drawn from
+    its list (a color bitmask), or None.  Definition-level: the colourings
+    from the lists are tried in lexicographic order, vertex 0 first and
+    colours ascending, each checked by ``verify_fp_proper``."""
     if len(lists) != g.n:
         raise ValueError("list assignment domain mismatch")
-    return find_coloring(range(g.n), lists, ClassOracle(g, f.allows, p))
+    for coloring in product(*map(bits, lists)):
+        if verify_fp_proper(g, coloring, f, p):
+            return coloring
+    return None
 
 
 def refuse_negative_caps(**caps):

@@ -164,7 +164,9 @@ def brute_find_coloring(order, palette, allowed):
     """``graph.find_coloring`` before forward checking: the reference for the
     first colouring in vertex order, lowest colour first.  Only a partial
     class that is not allowed ends a branch, and every class test is
-    ``allowed[mask]``, with no ``new`` hint."""
+    ``allowed[mask]``, with no ``new`` hint.  ``palette`` is an int s, or
+    per-vertex colour lists as bitmasks, each tried in ascending order, the
+    reference for ``solvers.exists_L_coloring``."""
     k = len(order)
     free = isinstance(palette, int)
     choices = None if free else [list(bits(palette[v])) for v in order]

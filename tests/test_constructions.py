@@ -1,6 +1,7 @@
 """Graph families, samplers and the adversarial list pipeline."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,7 @@ import pytest
 from scipy.stats import chi2
 
 from fpcolor import constructions as cons
-from fpcolor.graph import Graph, bits, girth, induced_subgraph, mask_of
+from fpcolor.graph import Graph, GraphError, bits, girth, induced_subgraph, mask_of
 from fpcolor.params import PARAMETERS
 from fpcolor.solvers import col_fp
 from fpcolor.suites import draw_lists
@@ -66,6 +67,35 @@ def test_random_gnp_seeded():
     assert cons.random_gnp(10, 0.4, 10) != a
     assert cons.random_gnp(8, 0.0, 1).edge_count() == 0
     assert cons.random_gnp(8, 1.0, 1).edge_count() == 28
+
+
+def test_generators_refuse_a_graph_over_the_cap_before_building_its_edges(monkeypatch):
+    """``Graph`` checks the vertex cap before it reads an edge, and the
+    generators hand it their edges lazily, so a graph over the cap is
+    refused in constant memory and, for the samplers, with no draw."""
+    for build in (lambda: cons.complete_bipartite(100, 4000), lambda: cons.fan_join(64)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="graph too large"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    class Counting(random.Random):
+        draws = 0
+
+        def random(self):
+            Counting.draws += 1
+            return super().random()
+
+    monkeypatch.setattr(cons.random, "Random", Counting)
+    with pytest.raises(GraphError, match="graph too large"):
+        cons.random_gnp(4100, 0.0, 1)
+    assert Counting.draws == 0
+    assert cons.random_gnp(8, 0.5, 1) == Graph(8, cons.random_gnp(8, 0.5, 1).edges())
+    assert Counting.draws == 2 * 28
 
 
 def test_random_bipartite():

@@ -25,6 +25,8 @@ from fpcolor.graph import (
     to_edge_list,
     to_graph6,
 )
+from fpcolor.params import PARAMETERS
+from fpcolor.solvers import exists_L_coloring
 
 
 def test_basic_accessors():
@@ -259,9 +261,10 @@ def test_find_coloring_palettes():
         c5, lambda g, m, p, new=None: not any(g.adj[v] & m for v in bits(m)), 0)
     assert find_coloring(range(5), 2, independent) is None
     assert find_coloring(range(5), 3, independent) == (0, 1, 0, 1, 2)
-    # colours follow the given vertex order; lists (colour masks) are tried
-    # in ascending order
+    # colours follow the given vertex order
     assert find_coloring([4, 3, 2, 1, 0], 3, independent) == (0, 1, 0, 1, 2)
-    lists = [0b100010, 0b110, 0b110, 0b110, 0b100100]
-    assert find_coloring(range(5), lists, independent) == (1, 2, 1, 2, 5)
     assert find_coloring((), 1, independent) == ()
+    # lists (colour masks) are checked from the definition, colours ascending;
+    # a star of at most one vertex is an independent class
+    lists = [0b100010, 0b110, 0b110, 0b110, 0b100100]
+    assert exists_L_coloring(c5, lists, PARAMETERS["star"], 1) == (1, 2, 1, 2, 5)

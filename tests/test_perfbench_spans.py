@@ -35,11 +35,18 @@ def test_tracer_install_round_trip(tmp_path):
         # degeneracy bounds settle mad on C5 with no flow, but not this G(8, 1/2)
         density.exact_mad(cons.random_gnp(8, 0.5, 1))
         solvers.exists_L_coloring(cons.cycle(4), [0b11] * 4, params.PARAMETERS["star"], 1)
+        # verify checks a bad list assignment through report's own alias
+        c5 = str(tmp_path / "c5.json")
+        assert cli.main(["solve", "choosable", "--gen", "cycle:5", "--f", "star",
+                         "--p", "1", "--s", "2", "--out", c5]) == 1
+        checked = tracer.calls["solvers.exists_L_coloring"]
+        assert cli.main(["verify", c5]) == 0
+        assert tracer.calls["solvers.exists_L_coloring"] == checked + 1
     finally:
         spans.uninstall(undo)
-    assert tracer.calls["cli.main"] == 1
-    assert tracer.calls["solvers.decide_choosability_fp"] == 1
-    assert tracer.calls["solvers.exists_L_coloring"] == 1
+    assert tracer.calls["cli.main"] == 3
+    assert tracer.calls["solvers.decide_choosability_fp"] == 2
+    assert tracer.calls["solvers.exists_L_coloring"] == 2
     assert tracer.calls["solvers.chi_fp"] == 1
     assert tracer.calls["params.eval_mask"] > 0
     assert tracer.calls["density.max_flow"] > 0

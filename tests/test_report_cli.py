@@ -129,6 +129,13 @@ def test_bad_assignment_certificate():
             "lists": [[0, 1, 2, 3]] * 10}
     with pytest.raises(CertificateError, match="unverifiable at cap"):
         verify_certificate(cons.edgeless(10), huge)
+    # an empty list admits no colouring, whatever the length of the others,
+    # which the cap on the count of colourings does not bound
+    empty = {"type": "bad_list_assignment", "s": 0, "f": "star", "p": 1,
+             "lists": [[], list(range(10**6))]}
+    started = time.perf_counter()
+    assert verify_certificate(cons.path(2), empty)
+    assert time.perf_counter() - started < 2
 
 
 def test_island_certificate():
@@ -644,6 +651,36 @@ def test_cli_generate_and_file_loading(tmp_path, capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "param", "--graph", str(edges_file), "--f", "star")
     assert code == 0 and json.loads(out)["result"]["value"] == 6
+
+
+def test_cli_reads_a_one_edge_tab_separated_edge_list(tmp_path, capsys):
+    """A file of one token is graph6; "0<TAB>1" is two tokens, an edge list."""
+    path = tmp_path / "g.edges"
+    for text in ("0\t1\n", "0 1", "0\t1\n1\t2\n"):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "param", "--graph", str(path), "--f", "star")
+        assert code == 0 and not err, (text, err)
+        assert json.loads(out)["result"]["value"] == len(set(text.split()))  # one path
+    path.write_text("A_\n")  # K2 in graph6
+    code, out, _ = run_cli(capsys, "param", "--graph", str(path), "--f", "star")
+    assert code == 0 and json.loads(out)["result"]["value"] == 2
+
+
+def test_cli_verify_bad_assignment_with_any_integer_colours(tmp_path, capsys):
+    """verify renames a bad assignment's colours 0..u-1 in sorted order before
+    it checks the lists, so negative and huge colours are checked alike."""
+    path = tmp_path / "k24.json"
+    code, _, _ = run_cli(capsys, "solve", "choosable", "--gen", "complete-bipartite:2,4",
+                         "--f", "star", "--p", "1", "--s", "2", "--out", str(path))
+    assert code == 1
+    report = json.loads(path.read_text())
+    names = (-5, 0, 7, 10**30)
+    lists = [[names[c] for c in lst] for lst in report["certificate"]["lists"]]
+    report["certificate"]["lists"] = lists
+    assert _verify_tampered(tmp_path, capsys, report)[:2] == (0, "certificate OK\n")
+    # both vertices of the 2-side take the first colour of one list: colourable
+    report["certificate"]["lists"] = [lists[0], lists[0], *lists[2:]]
+    assert _verify_tampered(tmp_path, capsys, report)[:2] == (1, "certificate INVALID\n")
 
 
 def test_cli_table_format(capsys):

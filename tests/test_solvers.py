@@ -282,9 +282,9 @@ def test_chi_matches_index_order_oracles(monkeypatch):
     every built-in parameter and p = 0..3, chi_fp gives the least s at which
     the unpruned index-order backtracker colours, with its first colouring
     as the witness, and brute_chi's product enumeration agrees wherever it
-    is affordable.  chi_fp makes one search per refuted s, one more if
-    first fit's class count U exceeds chi, and one for the witness, so the
-    count of searches tells which exit each case took."""
+    is affordable.  chi_fp makes one search for first fit, one per refuted
+    s, one more if first fit's class count U exceeds chi, and one for the
+    witness, so the count of searches tells which exit each case took."""
     searches = 0
 
     def counted(*args):
@@ -304,7 +304,7 @@ def test_chi_matches_index_order_oracles(monkeypatch):
                 continue
             searches = 0
             value, witness = chi_fp(g, f, p)
-            assert searches in (value, value + 1)
+            assert searches in (value + 1, value + 2)
             allowed = ClassOracle(g, f.allows, p)
             assert witness == brute_find_coloring(range(g.n), value, allowed), (g.edges(), f.id, p)
             assert brute_find_coloring(range(g.n), value - 1, allowed) is None
@@ -313,7 +313,7 @@ def test_chi_matches_index_order_oracles(monkeypatch):
                 cases["product"] += 1
             checked.add((f.id, p))
             cases["chi >= 3"] += value >= 3
-            cases["U > chi" if searches == value + 1 else "U = chi"] += 1
+            cases["U > chi" if searches == value + 2 else "U = chi"] += 1
     assert checked == {(f.id, p) for f in PARAMETERS.values() for p in range(4)
                        if f.allows(Graph(1), 1, p)}
     assert cases["product"] >= 1000 and cases["chi >= 3"] >= 100, cases
@@ -348,32 +348,50 @@ def test_exists_L_coloring():
         exists_L_coloring(cons.path(3), L, STAR, 1)
 
 
+def test_exists_L_coloring_matches_the_list_backtracker():
+    """The definition-level list check returns the first colouring of the
+    unpruned backtracker over list palettes: lexicographic order, vertex 0
+    first and colours ascending, on every built-in parameter with drawn
+    lists of sizes 1..3."""
+    rng = random.Random(179)
+    outcomes = Counter()
+    for g in random_graph_sample(24, 9, 179):
+        for f in PARAMETERS.values():
+            for p in (0, 1, 2):
+                for s in (1, 2, 3):
+                    lists = draw_lists(g.n, s, s + 2, rng)
+                    got = exists_L_coloring(g, lists, f, p)
+                    want = brute_find_coloring(range(g.n), lists, ClassOracle(g, f.allows, p))
+                    assert got == want, (g.edges(), f.id, p, lists)
+                    outcomes[got is None] += 1
+    assert outcomes[True] > 300 and outcomes[False] > 600, outcomes
+
+
 def test_find_coloring_matches_unpruned_search():
     """Forward checking ends only branches that hold no colouring: the same
     first colouring, or None, as the unpruned backtracker, on every built-in
-    parameter, with int palettes 1..chi and with drawn lists, in index order and in a
-    shuffled order over some of the vertices.  Every verdict the search
-    stored after a miss with a ``new`` hint is the verdict without it."""
+    parameter, with s = 1..chi colours, in index order and in a shuffled
+    order over some of the vertices.  Every verdict the search stored after
+    a miss with a ``new`` hint is the verdict without it."""
     rng = random.Random(173)
     outcomes = Counter()
-    for g in random_graph_sample(24, 9, 173):
+    for g in random_graph_sample(40, 9, 173):
         part = [v for v in range(g.n) if rng.random() < 0.8]
         rng.shuffle(part)
         for f in PARAMETERS.values():
             for p in (0, 1, 2):
-                palettes = []
+                sizes = []
                 for s in range(1, g.n + 1):
-                    palettes.append(s)
+                    sizes.append(s)
                     if brute_find_coloring(range(g.n), s,
                                            ClassOracle(g, f.allows, p)) is not None:
                         break  # s is chi
-                palettes += [draw_lists(g.n, s, s + 2, rng) for s in (1, 2, 3)]
-                for palette in palettes:
+                for s in sizes:
                     for order in (range(g.n), part):
                         allowed = ClassOracle(g, f.allows, p)
-                        got = find_coloring(order, palette, allowed)
-                        want = brute_find_coloring(order, palette, ClassOracle(g, f.allows, p))
-                        assert got == want, (g.edges(), f.id, p, palette, list(order))
+                        got = find_coloring(order, s, allowed)
+                        want = brute_find_coloring(order, s, ClassOracle(g, f.allows, p))
+                        assert got == want, (g.edges(), f.id, p, s, list(order))
                         assert all(ok == f.allows(g, m, p) for m, ok in allowed.items())
                         outcomes[got is None] += 1
     assert outcomes[True] > 1000 and outcomes[False] > 1000, outcomes
