@@ -339,7 +339,8 @@ def mono_dense_witness(g, coloring, k):
 
     Per color class (lowest color first) the exact maximum average degree of
     the induced subgraph is computed via the densest-subgraph routine; the
-    first class exceeding k yields the witness, a host vertex mask.
+    first class exceeding k yields the witness, a host vertex mask: the
+    class's largest densest subgraph.
     """
     if len(coloring) != g.n:
         raise ValueError("coloring must be total on V(G)")

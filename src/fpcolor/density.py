@@ -8,16 +8,21 @@ gets a source arc of x_v when x_v > 0, a sink arc of -x_v when x_v < 0,
 and no terminal arc when x_v = 0.  With X the sum of the positive
 excesses, the cut whose source side is S costs X - 2(b|E(S)| - a|S|).  So
 a cut below X exhibits a set strictly denser than the guess (Goldberg,
-1984).  Such a cut leaves a source arc unsaturated, and the witness is the
+1984).  Such a cut leaves a source arc unsaturated, and the answer is the
 source side of the minimal minimum cut: the vertices the residual network
-still reaches from the source, none when no cut is below X.
+still reaches from the source, none when no cut is below X.  At the
+maximum density itself the minimum cuts are the densest sets and the empty
+one, and the source side of the maximal minimum cut, the vertices that
+cannot reach the sink, is their union: the largest densest subgraph.
 
 Goldberg gives every vertex both a source arc of b*m and a sink arc of
 b*m + 2a - b deg v, m the number of edges, and two arc pairs per edge.
 Every cut crosses exactly one terminal arc of each vertex, so lowering
 both by the same amount lowers every cut by the same constant: the
-minimum cuts, and the witness, stay the same.  The lowered network skips
-the n flow paths s -> v -> t that Goldberg's saturates first.
+minimum cuts stay the same.  The lowered network skips the n flow paths
+s -> v -> t that Goldberg's saturates first, and one pass saturates the
+paths s -> u -> v -> t before Dinic's phases begin.  Both cuts are the same
+for every maximum flow, so neither start changes an answer.
 
 Flows run only where cheap bounds leave a gap.  Let d be the degeneracy, the
 largest core number (``graph.core_numbers``).  A set of s > d vertices has at
@@ -37,11 +42,13 @@ d-core by d (Charikar's greedy peel, APPROX 2000).
   and path powers and k-trees on more than k(k+1) vertices, run no flow.
   A class test (floor(mad) <= p, see ``params``) asks only about t = p + 1:
   the bounds answer it, or that one step does.
-- ``max_density`` returns the whole mask with no flow when its density is
-  d - d(d+1)/(2|mask|), which no subset exceeds (trees, k-trees, path
-  powers, cliques).  Otherwise it iterates flows from the whole mask's
-  density to the exact optimum: one flow per improving guess and one that
-  certifies it.
+- ``max_density`` returns the largest densest subgraph, which the graph
+  alone defines.  It starts from the densest suffix of the peel order.
+  When that suffix's density is d - d(d+1)/(2|mask|), which only the whole
+  mask reaches (trees, k-trees, path powers, cliques), no flow runs.
+  Otherwise it runs flows on the ceil(guess)-core, since every densest set
+  has minimum degree at least its density: one flow per improving guess,
+  and one at the optimum whose maximal cut is the answer.
 
 Every entry point takes a host vertex mask and answers for the subgraph it
 induces; the network's nodes are the mask's vertices in increasing order,
@@ -50,6 +57,7 @@ and witnesses are host masks.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from fpcolor.graph import bits, core_numbers, mask_of
@@ -124,6 +132,21 @@ class _Dinic:
             cap[e ^ 1] += pushed
         return pushed
 
+    def reaching(self, t):
+        """Per node, whether the residual network has a path from it to t: the
+        nodes without one are the source side of the maximal minimum cut."""
+        head, cap, arcs = self.head, self.cap, self.arcs
+        seen = [False] * self.n
+        seen[t] = True
+        q = [t]
+        for u in q:
+            for e in arcs[u]:
+                v = head[e]
+                if cap[e ^ 1] > 0 and not seen[v]:  # e ^ 1 is the arc v -> u
+                    seen[v] = True
+                    q.append(v)
+        return seen
+
     def max_flow(self, s, t):
         flow = 0
         while self._bfs(s, t):
@@ -133,27 +156,59 @@ class _Dinic:
         return flow
 
 
-def _denser_than(g, mask, guess):
-    """A vertex mask inside ``mask`` with density strictly above ``guess``, or 0."""
+def _max_flow(g, mask, guess):
+    """(the source side of the minimal minimum cut as a host mask, the mask's
+    vertices in the order of their nodes, the network) of ``guess`` on
+    g[mask] after a maximum flow.
+
+    Before Dinic's phases, one pass saturates the paths source -> i -> j ->
+    sink through each edge from a vertex with a source arc to one with a
+    sink arc.  Every maximum flow has the same minimal and maximal minimum
+    cuts, so the cuts read after it do not depend on that start.
+    """
     verts = list(bits(mask))
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
     a, b = guess.numerator, guess.denominator
     net = _Dinic(n + 2)
     source, sink = n, n + 1
+    fed, drain = [], [None] * (n + 2)  # source arcs as (node, arc); sink arc by node
     for i, v in enumerate(verts):
         near = g.adj[v] & mask
         excess = b * near.bit_count() - 2 * a
         if excess > 0:
+            fed.append((i, len(net.head)))
             net.add_edge(source, i, excess)
         elif excess < 0:
+            drain[i] = len(net.head)
             net.add_edge(i, sink, -excess)
         for w in bits(near & -(2 << v)):  # each edge once, from its lower end
             net.add_edge(i, index[w], b, b)
+    head, cap, arcs = net.head, net.cap, net.arcs
+    for i, into in fed:
+        left = cap[into]
+        for e in arcs[i]:
+            out = drain[head[e]]
+            if out is not None and cap[out]:
+                pushed = min(left, cap[e], cap[out])
+                cap[e] -= pushed
+                cap[e ^ 1] += pushed
+                cap[out] -= pushed
+                cap[out ^ 1] += pushed
+                left -= pushed
+                if not left:
+                    break
+        cap[into ^ 1] += cap[into] - left
+        cap[into] = left
     net.max_flow(source, sink)
     # the last BFS of max_flow, which found no path, leveled the residual source
     # side; it is empty, and the mask 0, when the flow saturates every source arc
-    return mask_of(v for v, level in zip(verts, net.level) if level >= 0)
+    return mask_of(v for v, level in zip(verts, net.level) if level >= 0), verts, net
+
+
+def _denser_than(g, mask, guess):
+    """A vertex mask inside ``mask`` with density strictly above ``guess``, or 0."""
+    return _max_flow(g, mask, guess)[0]
 
 
 def _density(g, mask):
@@ -162,28 +217,43 @@ def _density(g, mask):
     return Fraction(inner, size)
 
 
+def _densest_suffix(g, core):
+    """(2|E(S)|, |S|) of a densest suffix S of the peel order ``core`` (from
+    ``core_numbers``); (0, 1) when no suffix has an edge."""
+    best, top = 0, 1
+    twice_m = inside = 0
+    for count, v in enumerate(reversed(core), 1):
+        twice_m += 2 * (g.adj[v] & inside).bit_count()
+        inside |= 1 << v
+        if twice_m * top > best * count:
+            best, top = twice_m, count
+    return best, top
+
+
 def max_density(g, mask=None):
-    """(density, host vertex mask) of an exactly densest nonempty subgraph of
-    g[mask], by default of g; (0, 0) when the mask is empty."""
+    """(density, host vertex mask) of the largest densest subgraph of g[mask],
+    by default of g: the union of its densest nonempty subgraphs, itself one
+    of them, and the whole mask when it has no edge; (0, 0) when the mask is
+    empty."""
     if mask is None:
         mask = g.full_mask()
-    if not mask:
-        return Fraction(0), 0
-    best_mask = mask
-    best = _density(g, best_mask)
-    if not best:  # edgeless: its lowest vertex
-        return best, mask & -mask
-    d = max(core_numbers(g, mask).values())
+    core = core_numbers(g, mask)
+    twice_m, size = _densest_suffix(g, core)
+    if not twice_m:
+        return Fraction(0), mask
+    best = Fraction(twice_m, 2 * size)
+    d = max(core.values())
     if best == d - Fraction(d * (d + 1), 2 * mask.bit_count()):
-        return best, mask
+        return best, mask  # met only by the whole mask
     while True:
-        improved = _denser_than(g, mask, best)
-        if not improved:
-            return best, best_mask
-        cand = _density(g, improved)
-        if cand <= best:  # cut certified optimality; cannot happen
-            return best, best_mask
-        best, best_mask = cand, improved
+        # every densest set has minimum degree at least its density
+        least = math.ceil(best)
+        dense = mask_of(v for v, k in core.items() if k >= least)
+        denser, verts, net = _max_flow(g, dense, best)
+        if not denser:  # best is optimal: the maximal minimum cut holds every densest set
+            drained = net.reaching(len(verts) + 1)
+            return best, mask_of(v for v, out in zip(verts, drained) if not out)
+        best = _density(g, denser)
 
 
 def exact_mad(g, mask=None):
@@ -202,12 +272,8 @@ def mad_floor(g, mask, cap=None, new=None):
     d = max(core.values(), default=0)
     if not d:
         return 0
-    # lo: the densest suffix of the peel order, every k-core among them
-    lo = twice_m = inside = 0
-    for count, v in enumerate(reversed(core), 1):
-        twice_m += 2 * (g.adj[v] & inside).bit_count()
-        inside |= 1 << v
-        lo = max(lo, twice_m // count)
+    twice_m, size = _densest_suffix(g, core)
+    lo = twice_m // size  # the densest suffix of the peel order, every k-core among them
     hi = min(2 * d - 1, max((g.adj[v] & mask).bit_count() for v in core))
 
     def reaches(t):  # is there an S with 2|E(S)| >= t|S|?

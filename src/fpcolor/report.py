@@ -230,8 +230,12 @@ def verify_certificate(g: Graph, cert: dict) -> bool:
                 raise CertificateError("bad-assignment certificate unverifiable at cap")
         if not total:  # an empty list: no colouring, and no list need be read as masks
             return True
-        # colours renamed 0..u-1 in sorted order: a bijection, so the verdict and
-        # the order of the checked colourings stay, and no colour is a huge shift
+        # a vertex with g.n colours can always take one that no other vertex uses,
+        # alone in its class (f is hereditary): each list's g.n smallest colours
+        # leave the verdict as it was, and no mask is wider than n^2 colours
+        lists = [sorted(lst)[:g.n] for lst in lists]
+        # colours renamed 0..u-1 in sorted order: a bijection, so the verdict
+        # stays, and no colour is a huge shift
         rename = {c: i for i, c in enumerate(sorted({c for lst in lists for c in lst}))}
         masks = [mask_of(rename[c] for c in lst) for lst in lists]
         return exists_L_coloring(g, masks, f, cert["p"]) is None

@@ -131,30 +131,32 @@ def test_average_degree_bounding_flags():
         assert average_degree(knn) == n
 
 
-def subset_max_density(g, mask):
-    """The largest |E(S)|/|S| over nonempty S inside ``mask``, by enumeration."""
-    best, sub = Fraction(0), mask
+def densest_union(g, mask):
+    """(largest |E(S)|/|S| over nonempty S inside ``mask``, union of the S that
+    reach it), by enumeration; (0, 0) when the mask is empty."""
+    best, union, sub = Fraction(0), mask, mask
     while sub:
         inner = sum((g.adj[v] & sub).bit_count() for v in bits(sub)) // 2
-        best = max(best, Fraction(inner, sub.bit_count()))
+        dens = Fraction(inner, sub.bit_count())
+        if dens > best:
+            best, union = dens, sub
+        elif dens == best:
+            union |= sub
         sub = (sub - 1) & mask
-    return best
+    return best, union
 
 
-def reference_max_density(g, mask):
-    """Densest subgraph by iterating flows to the optimum from the whole
-    mask's density, with no bound that skips a flow."""
-    if not mask:
-        return Fraction(0), 0
-    best_mask = mask
-    best = density._density(g, mask)
-    if not best:
-        return best, mask & -mask
-    while improved := density._denser_than(g, mask, best):
-        cand = density._density(g, improved)
-        assert cand > best
-        best, best_mask = cand, improved
-    return best, best_mask
+def goldberg_largest_densest(g, mask, dens):
+    """The largest densest subset of ``mask``, given its density ``dens`` > 0,
+    from Goldberg's full network alone.  No set is denser than ``dens``.
+    Two densities of subsets of n = |mask| vertices that differ, differ by
+    more than 1/n^2 unless both denominators are n, and then by at least
+    1/n.  The cut with source side S costs X - 2b(|E(S)| - guess |S|) for a
+    constant X, and at the guess dens - 1/n^2 the bracket is largest for the
+    union of the densest sets alone: that union is the only minimum cut."""
+    n = mask.bit_count()
+    assert not goldberg_denser_than(g, mask, dens)
+    return goldberg_denser_than(g, mask, dens - Fraction(1, n * n))
 
 
 def k_tree(n, k, rng):
@@ -186,32 +188,38 @@ def mad_family(rng, max_n):
 
 def test_exact_mad_against_subset_oracle():
     for g in sample_graphs(25, 8, 23, min_n=1):
-        best = subset_max_density(g, g.full_mask())
+        best, _ = densest_union(g, g.full_mask())
         assert exact_mad(g) == 2 * best
         assert MAD.eval(g) == int(2 * best)
 
 
 def test_mad_bounds_against_both_oracles():
-    """floor(mad) and the densest subgraph agree with the subset oracle on
-    small masks and with the iterate-to-optimum reference on larger ones."""
+    """floor(mad) and the largest densest subgraph agree with enumeration on
+    masks of at most 10 vertices, and with Goldberg's full network, which
+    shares no code with the flows under test, on up to 40."""
     rng = random.Random(53)
     for trial in range(600):
         g = mad_family(rng, 10 if trial < 400 else 40)
         for mask in (g.full_mask(), rng.getrandbits(g.n)):
-            dens, witness = reference_max_density(g, mask)
+            dens, witness = max_density(g, mask)
             if g.n <= 10:
-                assert dens == subset_max_density(g, mask)
-            assert max_density(g, mask) == (dens, witness)
+                assert (dens, witness) == densest_union(g, mask)
+            elif dens:
+                assert density._density(g, witness) == dens
+                assert witness == goldberg_largest_densest(g, mask, dens)
+            else:  # edgeless: every subset is densest
+                assert witness == mask and not any(g.adj[v] & mask for v in bits(mask))
             assert MAD.eval_mask(g, mask) == int(2 * dens)
 
 
 def test_denser_than_matches_goldberg_network():
     """The reduced network has the same minimum cuts as Goldberg's full one,
-    so ``_denser_than`` returns the identical mask.  Random graphs and masks
-    of at most 40 vertices, at four kinds of guess: random ones; densities
-    of subsets, where ties decide which minimum cut is the minimal one; the
-    evaluator's t/2 - 1/(2k+1); and guesses at which no vertex has a
-    positive excess."""
+    and the short paths saturated before Dinic's phases leave the minimal
+    one as it is, so ``_denser_than`` returns the identical mask.  Random
+    graphs and masks of at most 40 vertices, at four kinds of guess: random
+    ones; densities of subsets, where ties decide which minimum cut is the
+    minimal one; the evaluator's t/2 - 1/(2k+1); and guesses at which no
+    vertex has a positive excess."""
     rng = random.Random(61)
     found = 0
     for trial in range(240):
@@ -238,7 +246,8 @@ def test_denser_than_work_counts(monkeypatch):
     and one ``_bfs`` call per BFS phase: each call that finds a path reaches
     the sink farther out than the one before, and one last call finds none.
     perfbench reads these calls as density.add_edge.calls and
-    density.bfs_phases."""
+    density.bfs_phases.  The short paths saturated before the first phase
+    leave few flows with several phases, hence 800 draws."""
     calls = []
     add_edge, bfs = density._Dinic.add_edge, density._Dinic._bfs
 
@@ -255,7 +264,7 @@ def test_denser_than_work_counts(monkeypatch):
     monkeypatch.setattr(density._Dinic, "_bfs", leveled_bfs)
     rng = random.Random(67)
     multi = zero_excess = 0
-    for _ in range(200):
+    for _ in range(800):
         n = rng.randint(2, 30)
         g = cons.random_gnp(n, rng.uniform(0.05, 0.6), rng.getrandbits(32))
         mask = rng.getrandbits(n) or g.full_mask()
@@ -281,6 +290,19 @@ def flows(monkeypatch):
     monkeypatch.setattr(density._Dinic, "max_flow",
                         lambda self, s, t: runs.append(1) or max_flow(self, s, t))
     return runs
+
+
+def test_max_density_flow_counts(flows):
+    """``max_density`` starts at the densest suffix of the peel order and
+    flows on the core of its guess: the graphs of ``param --f mad`` in the
+    density benchmark take one flow each, at the optimum, which also yields
+    the largest densest subgraph, and the path, which meets its degeneracy
+    bound, none."""
+    for g, count in ((cons.random_gnp(600, 0.02, 1), 1),
+                     (cons.random_bipartite(200, 64, 0), 1), (cons.path(1000), 0)):
+        del flows[:]
+        dens, witness = max_density(g)
+        assert len(flows) == count and density._density(g, witness) == dens
 
 
 def test_mad_threshold_flow_against_brute_force(monkeypatch):
@@ -374,7 +396,7 @@ def test_density_of_a_mask_matches_its_induced_copy():
             dens, witness = max_density(sub)
             assert max_density(g, mask) == (dens, mask_of(host[i] for i in bits(witness)))
             assert exact_mad(g, mask) == exact_mad(sub)
-        assert max_density(g, independent) == (0, 1)
+        assert max_density(g, independent) == (0, independent)
 
 
 def test_mad_of_a_long_path_needs_no_deep_recursion(flows):

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -32,8 +33,8 @@ from fpcolor.report import (
     verify_report,
 )
 from fpcolor.solvers import (CHOOSABILITY_N_CAP, chi_fp, col_fp, decide_choosability_fp,
-                             find_island)
-from fpcolor.graph import bits, from_graph6, to_graph6
+                             exists_L_coloring, find_island)
+from fpcolor.graph import bits, from_graph6, mask_of, to_graph6
 from fpcolor.suites import choosability_value, random_graph_sample
 
 STAR = PARAMETERS["star"]
@@ -136,6 +137,34 @@ def test_bad_assignment_certificate():
     started = time.perf_counter()
     assert verify_certificate(cons.path(2), empty)
     assert time.perf_counter() - started < 2
+
+
+def test_bad_assignment_check_reads_n_colours_per_list():
+    """Before the check each list keeps its g.n smallest colours, which
+    leaves every verdict: a vertex with n colours can take one that no other
+    vertex uses, alone in its class.  On K2 the lists 0..99999 and {0}
+    (colourable, since K2 is no class at max-degree 0) verify at once, and
+    random systems on at most 5 vertices with lists of up to 8 colours get
+    the verdict of the check on the lists as given."""
+    long = {"type": "bad_list_assignment", "s": 1, "f": "max-degree", "p": 0,
+            "lists": [list(range(10**5)), [0]]}
+    started = time.perf_counter()
+    assert not verify_certificate(cons.complete(2), long)
+    assert time.perf_counter() - started < 0.1
+    rng = random.Random(191)
+    cut = uncolourable = 0
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        g = cons.random_gnp(n, rng.uniform(0.3, 1), rng.getrandbits(32))
+        f, p = rng.choice(list(PARAMETERS.values())), rng.randint(0, 2)
+        colours = rng.randint(1, 10)
+        lists = [rng.sample(range(colours), rng.randint(1, min(8, colours))) for _ in range(n)]
+        cert = {"type": "bad_list_assignment", "s": 1, "f": f.id, "p": p, "lists": lists}
+        verdict = exists_L_coloring(g, [mask_of(lst) for lst in lists], f, p) is None
+        assert verify_certificate(g, cert) == verdict, (g.edges(), f.id, p, lists)
+        cut += any(len(lst) > n for lst in lists)
+        uncolourable += verdict
+    assert cut > 200 and uncolourable > 50, (cut, uncolourable)
 
 
 def test_island_certificate():
@@ -610,6 +639,23 @@ def test_reports_with_colour_lists_pinned(capsys, argv):
     L0 and L1) or draw them (nofan, path, pipeline), byte for byte."""
     _, out, _ = run_cli(capsys, *argv.split())
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
+
+
+#: sha256 of the canonical ``param --f mad`` report of each graph of the
+#: density benchmark, computed at commit 5438f5e, before ``max_density``
+#: started at the densest suffix of the peel order
+MAD_REPORT_DIGESTS = {
+    "path:1000": "4ff5d62e684b08e509aa6d075f64100711b575114edca700b539c60c2f711015",
+    "gnp:600,0.02,1": "02468007f9cc7cacd9d9dca295e880e8d3bb8c86a2d5cb9e496a2ca3ae66007e",
+    "bipartite:200,64,0": "288f7df6567ef71d4af81535e4ff155889a2b68470ab74be05cbbb3cd66d7274",
+}
+
+
+@pytest.mark.parametrize("gen", sorted(MAD_REPORT_DIGESTS))
+def test_mad_reports_pinned(capsys, gen):
+    """The exact mad and its floor, byte for byte."""
+    code, out, _ = run_cli(capsys, "param", "--gen", gen, "--f", "mad")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == MAD_REPORT_DIGESTS[gen]
 
 
 def test_cli_byte_identical_runs(capsys):
