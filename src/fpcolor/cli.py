@@ -20,8 +20,7 @@ from fpcolor import suites
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import GraphError, bits, from_edge_list, from_graph6, to_edge_list, to_graph6
 from fpcolor.params import PARAMETERS, get_parameter
-from fpcolor.solvers import (CHOOSABILITY_N_CAP, CHOOSABILITY_S_CAP, chi_fp, col_fp,
-                             decide_choosability_fp, find_island, refuse_negative_caps)
+from fpcolor.solvers import chi_fp, col_fp, decide_choosability_fp, find_island
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -126,8 +125,6 @@ def cmd_param(args):
 
 
 def cmd_solve(args):
-    # every op takes the caps, so every op refuses a negative one, before any work
-    refuse_negative_caps(cap_n=args.cap_choosability_n, cap_s=args.cap_choosability_s)
     g = load_graph(args)
     f = get_parameter(args.f)
     p = args.p
@@ -142,9 +139,7 @@ def cmd_solve(args):
     elif args.op == "choosable":
         if args.s is None:
             raise GraphError("choosable requires --s")
-        ok, bad = decide_choosability_fp(g, args.s, f, p,
-                                         cap_n=args.cap_choosability_n,
-                                         cap_s=args.cap_choosability_s)
+        ok, bad = decide_choosability_fp(g, args.s, f, p)
         result = {"op": "choosable", "f": f.id, "p": p, "s": args.s, "value": ok}
         cert = None if ok else rep.assignment_to_json(bad, args.s, f.id, p)
     elif args.op == "island":
@@ -210,11 +205,14 @@ def cmd_adversary(args):
 
 
 def cmd_verify(args):
-    with open(args.report) as fh:
+    with open(args.report, encoding="utf-8") as fh:
         try:
             loaded = json.load(fh)
         except RecursionError:  # nested deeper than the JSON decoder goes
             print("verify: malformed report: nested too deeply", file=sys.stderr)
+            return EXIT_FAIL
+        except ValueError as exc:  # not JSON, or not UTF-8
+            print(f"verify: malformed report: {exc}", file=sys.stderr)
             return EXIT_FAIL
     try:
         ok = rep.verify_report(loaded)
@@ -243,7 +241,6 @@ def cmd_lemma(args):
 
 
 def cmd_question(args):
-    refuse_negative_caps(cap_n=args.cap_choosability_n)  # first, whatever the sample holds
     inputs = {"p": args.p, "smax": args.smax}
     if args.gen or args.graph:
         graphs = [load_graph(args)]
@@ -251,8 +248,7 @@ def cmd_question(args):
         suites._at_least(1, graphs=args.graphs)
         graphs = suites.random_graph_sample(args.graphs, args.max_n, args.seed)
         inputs.update(seed=args.seed, max_n=args.max_n)
-    result = suites.question_scan(args.q, graphs, args.p, smax=args.smax,
-                                  cap_n=args.cap_choosability_n)
+    result = suites.question_scan(args.q, graphs, args.p, smax=args.smax)
     emit(args, rep.make_report(f"question {args.q}", {**inputs, "count": len(graphs)},
                                result))
     return EXIT_PASS if not result["violations"] else EXIT_FAIL
@@ -282,8 +278,6 @@ def build_parser():
     sp.add_argument("--f", required=True, choices=sorted(PARAMETERS))
     sp.add_argument("--p", type=int, default=1)
     sp.add_argument("--s", type=int)
-    sp.add_argument("--cap-choosability-n", type=int, default=CHOOSABILITY_N_CAP)
-    sp.add_argument("--cap-choosability-s", type=int, default=CHOOSABILITY_S_CAP)
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("generate", help="emit a graph as graph6 or edge list")
@@ -330,7 +324,6 @@ def build_parser():
     sp.add_argument("--max-n", type=int, default=6)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--smax", type=int, default=3)
-    sp.add_argument("--cap-choosability-n", type=int, default=CHOOSABILITY_N_CAP)
     sp.set_defaults(fn=cmd_question)
 
     return ap

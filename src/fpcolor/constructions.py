@@ -377,20 +377,3 @@ def girth_component_bound(g, k):
     report["max_component"] = biggest
     report["holds"] = biggest > bound
     return report
-
-
-def h_star_path_certificate(p, p_prime=None):
-    """A path power witnessing the island coloring number lower bound
-    floor(sqrt(p/2)) + 1 for cluster size p.
-
-    Returns (t, graph, claimed_bound) with the graph of order
-    p'(t+1) + t + 1; the bound is re-verifiable by the island solver at
-    desk scale.
-    """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    t = math.isqrt(p // 2)
-    if p_prime is None:
-        p_prime = 2 * t * t
-    n = p_prime * (t + 1) + t + 1
-    return t, path_power(n, t), t + 1

@@ -153,6 +153,10 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
     Every search node past the anchor passed ``f.allows``, so growing it by
     u is tested with the hint ``new = u``; the anchor alone was never
     tested, so its children are tested whole.
+
+    Iterative, so a large island cannot exhaust the call stack: the search
+    keeps its own stack of nodes and visits them in the depth-first order
+    above.
     """
     if s < 0:
         raise ValueError(f"island: s={s} is negative")
@@ -172,26 +176,34 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
         lower = core
 
     def search(island, ext, banned):
-        if _is_island(g, island, active, s):
-            return island
-        while ext:
-            u = ext & -ext
-            ext ^= u
-            w = u.bit_length() - 1
-            # u with s banned neighbours lies in no island below
-            if (adj[w] & banned).bit_count() < s:
-                grown = island | u
-                if f.allows(g, grown, p, new=w if island & (island - 1) else None):
-                    new_ext = (ext | (adj[w] & active)) & ~grown & ~banned
-                    found = search(grown, new_ext, banned)
-                    if found:
-                        return found
-            banned |= u
-            # an island vertex saturated by banned ones ends the branch
-            for v in bits(island & adj[w]):
-                if (adj[v] & banned).bit_count() >= s:
-                    return 0
-        return 0
+        frames = []  # the nodes above: (island, ext, banned, the vertex tried below)
+        u = 0  # the vertex whose subtree was just searched; 0 on entering a node
+        while True:
+            if not u:
+                if _is_island(g, island, active, s):
+                    return island
+            else:
+                banned |= u
+                # an island vertex saturated by banned ones ends the branch
+                w = u.bit_length() - 1
+                for v in bits(island & adj[w]):
+                    if (adj[v] & banned).bit_count() >= s:
+                        ext = 0
+                        break
+            if ext:
+                u = ext & -ext
+                ext ^= u
+                w = u.bit_length() - 1
+                # u with s banned neighbours lies in no island below
+                if (adj[w] & banned).bit_count() < s:
+                    grown = island | u
+                    if f.allows(g, grown, p, new=w if island & (island - 1) else None):
+                        frames.append((island, ext, banned, u))
+                        island, ext, u = grown, (ext | (adj[w] & active)) & ~grown & ~banned, 0
+            elif frames:
+                island, ext, banned, u = frames.pop()
+            else:
+                return 0
 
     for anchor in bits(active & ~lower):
         abit = 1 << anchor
@@ -284,7 +296,7 @@ def peel(g: Graph, s: int, f: Parameter, p: int, cutoff=None):
         if core == active:  # no vertex left can lie in an island
             return None, active
         island = (_small_island(g, s, f, p, active, core)
-                  or find_island(g, s, f, p, active, cutoff, core))
+                  or find_island(g, s, f, p, active, core=core))
         if island is None:
             return None, active
         islands.append(island)
@@ -369,21 +381,7 @@ def exists_L_coloring(g: Graph, lists, f: Parameter, p: int):
     return None
 
 
-def refuse_negative_caps(**caps):
-    """ValueError, naming every cap, when one of the choosability caps is negative."""
-    if min(caps.values()) < 0:
-        named = ", ".join(f"{name}={value}" for name, value in caps.items())
-        raise ValueError(f"choosability: a cap is negative ({named})")
-
-
-def decide_choosability_fp(
-    g: Graph,
-    s: int,
-    f: Parameter,
-    p: int,
-    cap_n=CHOOSABILITY_N_CAP,
-    cap_s=CHOOSABILITY_S_CAP,
-):
+def decide_choosability_fp(g: Graph, s: int, f: Parameter, p: int, cap_s=CHOOSABILITY_S_CAP):
     """Whether every s-list assignment admits an (f,p)-proper coloring.
 
     A depth-first search for the adversary: lists are assigned one vertex at
@@ -421,11 +419,10 @@ def decide_choosability_fp(
     color bitmasks indexed by vertex.  The search keeps each vertex's list as
     the tuple it tried and makes masks only for the certificate.
     """
-    refuse_negative_caps(cap_n=cap_n, cap_s=cap_s)
     if s < 0:  # a usage error whatever the size of g
         raise ValueError(f"choosability: list size s={s} is negative")
-    if g.n > cap_n:
-        raise CapExceeded(f"choosability: n={g.n} exceeds cap {cap_n}")
+    if g.n > CHOOSABILITY_N_CAP:
+        raise CapExceeded(f"choosability: n={g.n} exceeds cap {CHOOSABILITY_N_CAP}")
     if s > cap_s:
         raise CapExceeded(f"choosability: s={s} exceeds cap {cap_s}")
     if g.n == 0:

@@ -20,7 +20,6 @@ from fpcolor.errors import CapExceeded
 from fpcolor.graph import ClassOracle, average_degree, bits, class_masks, mask_of, to_graph6
 from fpcolor.params import PARAMETERS
 from fpcolor.solvers import (
-    CHOOSABILITY_N_CAP,
     chi_fp,
     col_fp,
     compose_bound,
@@ -97,10 +96,11 @@ def _counterexample(g, **extra):
     return bundle
 
 
-def choosability_value(g, f, p, smax, cap_n=CHOOSABILITY_N_CAP):
-    """Least s <= smax with every s-list assignment colorable, or None."""
+def choosability_value(g, f, p, smax):
+    """Least s <= smax with every s-list assignment colorable, or None;
+    smax stands in for the s cap, so ``question --smax`` can go past it."""
     for s in range(1, smax + 1):
-        ok, _ = decide_choosability_fp(g, s, f, p, cap_n=cap_n, cap_s=smax)
+        ok, _ = decide_choosability_fp(g, s, f, p, cap_s=smax)
         if ok:
             return s
     return None
@@ -440,7 +440,7 @@ SUITES = {
 # -- conjecture scans (no pass/fail claim) ------------------------------------
 
 
-def question_scan(which, graphs, p, smax=3, cap_n=CHOOSABILITY_N_CAP):
+def question_scan(which, graphs, p, smax=3):
     """Scan small graphs for violations of the clustered / mad choosability
     ratio conjectures; records slack, never claims a proof.  A graph past the
     choosability cap, or with no choosable s <= smax, gets a row status saying so."""
@@ -458,8 +458,8 @@ def question_scan(which, graphs, p, smax=3, cap_n=CHOOSABILITY_N_CAP):
         row = {"graph6": to_graph6(g), "n": g.n}
         rows.append(row)
         try:
-            lhs = choosability_value(g, STAR, 1, smax, cap_n=cap_n)
-            rhs_base = choosability_value(g, f, p, smax, cap_n=cap_n)
+            lhs = choosability_value(g, STAR, 1, smax)
+            rhs_base = choosability_value(g, f, p, smax)
         except CapExceeded:
             row["status"] = "above_choosability_cap"
             continue

@@ -301,18 +301,20 @@ def nested_code(fn, name):
                 if isinstance(c, types.CodeType) and c.co_name == name)
 
 
-def count_calls(fn, inner, *args, **kwargs):
+def count_calls(fn, inner, *args, caller=None, **kwargs):
     """``(fn(*args, **kwargs), calls)``: the calls made to the function named
     ``inner`` that is defined inside ``fn``, or to the code object ``inner``
     (from ``nested_code`` or a function's ``__code__``) wherever ``fn``
-    reaches it, counted by a profile hook, so the code under test carries no
-    counter."""
+    reaches it, and only those made directly from the code object
+    ``caller`` if given, counted by a profile hook, so the code under test
+    carries no counter."""
     code = nested_code(fn, inner) if isinstance(inner, str) else inner
     calls = 0
 
     def profile(frame, event, _arg):
         nonlocal calls
-        if event == "call" and frame.f_code is code:
+        if (event == "call" and frame.f_code is code
+                and (caller is None or frame.f_back.f_code is caller)):
             calls += 1
 
     previous = sys.getprofile()

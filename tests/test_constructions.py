@@ -1,5 +1,6 @@
 """Graph families, samplers and the adversarial list pipeline."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -295,13 +296,9 @@ def test_girth_component_bound():
 
 
 def test_h_star_path_certificate():
-    t, g, bound = cons.h_star_path_certificate(2)
-    assert (t, bound) == (1, 2)
-    assert g.n == 2 * (1 + 1) + 1 + 1
-    assert col_fp(g, STAR, 2).value >= bound
-    t, g, bound = cons.h_star_path_certificate(8)
-    assert (t, bound) == (2, 3)
-    assert g.n == 8 * 3 + 3
-    assert col_fp(g, STAR, 8).value >= bound
-    with pytest.raises(ValueError):
-        cons.h_star_path_certificate(1)
+    """The paper's lower bound for cluster size p: with t = floor(sqrt(p/2)),
+    the t-th power of a path on 2t^2 (t+1) + t + 1 vertices has col >= t + 1."""
+    for p, n in ((2, 6), (8, 27)):
+        t = math.isqrt(p // 2)
+        g = cons.path_power(2 * t * t * (t + 1) + t + 1, t)
+        assert g.n == n and col_fp(g, STAR, p).value >= t + 1, p

@@ -281,8 +281,7 @@ def cli_argv(draw, directory):
         op = draw(st.sampled_from(("chi", "choosable", "col", "island")))
         s_max = 2 if op == "choosable" else 3  # s = 3 choosability can take seconds
         argv += [op, *graph_args(), *f, *flag("--p", small(3)), *flag("--s", small(s_max)),
-                 *flag("--cap-choosability-n", small(10)),
-                 *flag("--cap-choosability-s", small(3)), *output_args()]
+                 *output_args()]
     elif cmd == "generate":
         argv += graph_args() + flag("--emit", st.sampled_from(("g6", "edges")))
         argv += output_args(formats=False)
@@ -313,8 +312,7 @@ def cli_argv(draw, directory):
     else:
         argv += [draw(st.sampled_from(("q1", "q2"))), *graph_args(), *flag("--p", small(3)),
                  "--graphs", str(draw(small(3))), *flag("--max-n", small(8)),
-                 *flag("--seed", small(9)), "--smax", str(draw(small(2))),
-                 *flag("--cap-choosability-n", small(10)), *output_args()]
+                 *flag("--seed", small(9)), "--smax", str(draw(small(2))), *output_args()]
     return argv
 
 

@@ -32,8 +32,8 @@ from fpcolor.report import (
     verify_certificate,
     verify_report,
 )
-from fpcolor.solvers import (CHOOSABILITY_N_CAP, chi_fp, col_fp, decide_choosability_fp,
-                             exists_L_coloring, find_island)
+from fpcolor.solvers import (CHOOSABILITY_N_CAP, CHOOSABILITY_S_CAP, chi_fp, col_fp,
+                             decide_choosability_fp, exists_L_coloring, find_island)
 from fpcolor.graph import bits, from_graph6, mask_of, to_graph6
 from fpcolor.suites import choosability_value, random_graph_sample
 
@@ -343,6 +343,20 @@ def test_cli_verify_malformed_reports(tmp_path, capsys):
         assert out == "" and err.startswith("verify: ") and err.count("\n") == 1, (name, err)
 
 
+@pytest.mark.parametrize("damage", ["truncated", "not_utf8"])
+def test_cli_verify_report_that_is_not_json(tmp_path, capsys, damage):
+    """A truncated report, or one that is not UTF-8, is malformed: exit 1
+    and one line, not the usage error's exit 2."""
+    path = tmp_path / "col.json"
+    run_cli(capsys, "solve", "col", "--gen", "petersen", "--f", "star", "--p", "1",
+            "--out", str(path))
+    text = path.read_bytes()
+    path.write_bytes(text[:40] if damage == "truncated" else text.replace(b"col", b"\xff"))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1 and out == "" and err.count("\n") == 1, err
+    assert err.startswith("verify: malformed report: "), err
+
+
 def test_cli_verify_report_nested_too_deeply(tmp_path, capsys):
     """Nesting past the JSON decoder's depth, or a certificate chain past the
     verifier's, is a malformed report: exit 1 and one line, not a traceback."""
@@ -568,31 +582,6 @@ def test_cli_cap_exit_code(capsys):
     assert "cap" in err
 
 
-def test_cli_negative_choosability_caps_are_usage_errors(capsys):
-    for flag in ("--cap-choosability-n", "--cap-choosability-s"):
-        code, out, err = run_cli(capsys, "solve", "choosable", "--gen", "cycle:4", "--f",
-                                 "star", "--p", "1", "--s", "2", flag, "-5")
-        assert (code, out, err.count("\n")) == (2, "", 1) and "negative" in err, flag
-    # a negative cap once labelled every row above_choosability_cap and passed
-    for graphs in ("3", "0"):
-        code, out, err = run_cli(capsys, "question", "q1", "--graphs", graphs, "--max-n", "4",
-                                 "--cap-choosability-n", "-1")
-        assert (code, out, err.count("\n")) == (2, "", 1) and "negative" in err, graphs
-
-
-def test_cli_every_solve_op_refuses_negative_choosability_caps(capsys):
-    """chi, col and island once accepted a negative cap and exited 0; every
-    op now refuses it with the line that choosable gives."""
-    for flag in ("--cap-choosability-n", "--cap-choosability-s"):
-        errors = set()
-        for op in ("chi", "choosable", "col", "island"):
-            code, out, err = run_cli(capsys, "solve", op, "--gen", "gnp:8,1,8", "--f",
-                                     "max-degree", "--s", "2", flag, "-1")
-            assert (code, out, err.count("\n")) == (2, "", 1) and "negative" in err, (op, flag)
-            errors.add(err)
-        assert len(errors) == 1, errors
-
-
 def test_cli_negative_island_size_is_a_usage_error(capsys):
     """A negative s once gave an exact "no island"; s = 0 is a valid size
     that no island meets."""
@@ -602,6 +591,18 @@ def test_cli_negative_island_size_is_a_usage_error(capsys):
     code, out, _ = run_cli(capsys, "solve", "island", "--gen", "petersen", "--f", "star",
                            "--p", "1", "--s", "0")
     assert code == 0 and json.loads(out)["result"]["value"] is False
+
+
+def test_cli_island_of_a_long_cycle(capsys):
+    """The island search keeps its own stack: an island of 1,500 vertices
+    once ended in a RecursionError."""
+    code, out, _ = run_cli(capsys, "solve", "island", "--gen", "cycle:1500", "--f",
+                           "max-degree", "--p", "2", "--s", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["result"]["value"] is True
+    assert report["certificate"]["vertices"] == list(range(1500))
+    assert verify_report(report)
 
 
 def test_cli_question_refuses_sizes_that_check_nothing(capsys):
@@ -883,6 +884,15 @@ def test_cli_question_scan_past_the_caps(capsys):
             assert g.n > CHOOSABILITY_N_CAP
         elif row["status"] == "above_smax":
             assert choosability_value(g, STAR, 1, 3) is None
+
+
+def test_cli_question_smax_past_the_s_cap(capsys):
+    """--smax raises the s cap for the scan: K4 is 4-choosable, one past it."""
+    assert CHOOSABILITY_S_CAP < 4
+    code, out, _ = run_cli(capsys, "question", "q1", "--gen", "complete:4", "--smax", "4")
+    assert code == 0
+    rows = json.loads(out)["result"]["rows"]
+    assert [(row["status"], row["lhs"]) for row in rows] == [("ok", 4)]
 
 
 def test_cli_question_q2_scan(capsys):
