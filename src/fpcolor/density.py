@@ -41,7 +41,8 @@ d-core by d (Charikar's greedy peel, APPROX 2000).
   lies strictly between the guess and t/2.  Forests, cycles and cliques,
   and path powers and k-trees on more than k(k+1) vertices, run no flow.
   A class test (floor(mad) <= p, see ``params``) asks only about t = p + 1:
-  the bounds answer it, or that one step does.
+  the degree of a hinted ``new`` vertex, the bounds or that one step
+  answers it.
 - ``max_density`` returns the largest densest subgraph, which the graph
   alone defines.  It starts from the densest suffix of the peel order.
   When that suffix's density is d - d(d+1)/(2|mask|), which only the whole
@@ -266,8 +267,13 @@ def exact_mad(g, mask=None):
 def mad_floor(g, mask, cap=None, new=None):
     """floor of the maximum average degree of g[mask], as an int; 0 when
     g[mask] has no edge.  With ``cap`` (see ``params``) the bounds answer
-    alone when they can, and otherwise one step at t = cap does; ``new`` is
-    not used."""
+    alone when they can, and otherwise one step at t = cap does.
+
+    With ``new`` as well, no S inside mask - new has 2|E(S)| >= cap |S|, so
+    such an S holds ``new`` with 2 deg_S(new) >= cap + 1; when ``new`` has
+    too few neighbours in the mask for that, the answer is cap - 1 at once."""
+    if new is not None and cap is not None and 2 * (g.adj[new] & mask).bit_count() <= cap:
+        return cap - 1
     core = core_numbers(g, mask)
     d = max(core.values(), default=0)
     if not d:

@@ -150,6 +150,20 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
     Only subtrees holding no island are skipped, so the island found is the
     one the unpruned depth-first search finds first.
 
+    When f bounds the average degree (``Parameter.bounds_avg_degree``:
+    every X with f(X) <= p has average degree below p + 1), a third cut is
+    the degree-sum bound of the paper's positive case.  An island vertex v
+    has at least deg_A(v) - s + 1 neighbours inside the island, A being
+    ``active``, so the weight w(v) = max(deg_A(v) - s + 1, 0) - (p + 1)
+    sums to below 0 over every island X with f(X) <= p.  Every island below
+    a node growing island I by u weighs at least I + u together with every
+    unbanned vertex of negative weight.  So u is banned untried, as after a
+    failed class test, when that sum is at least 0, and an anchor is skipped
+    by the same test; this cut too skips only subtrees holding no island.
+    Each frame carries that least weight without u, the positive weight of
+    its island plus the negative weight left in its unbanned vertices, so
+    the test is O(1).
+
     Every search node past the anchor passed ``f.allows``, so growing it by
     u is tested with the hint ``new = u``; the anchor alone was never
     tested, so its children are tested whole.
@@ -174,9 +188,20 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
                 return 1 << v
     else:
         lower = core
+    # the degree-sum weights of the candidates, split into gain >= 0 and
+    # loss <= 0; when f does not bound the average degree both are 0 and the
+    # pool, the loss of the unbanned vertices, stays -1, so the cut never fires
+    gain, loss, pool = [0] * g.n, [0] * g.n, -1
+    if f.bounds_avg_degree:
+        for v in bits(active & ~lower):
+            weight = max((adj[v] & active).bit_count() - s + 1, 0) - p - 1
+            gain[v], loss[v] = max(weight, 0), min(weight, 0)
+        pool = sum(loss)
 
-    def search(island, ext, banned):
-        frames = []  # the nodes above: (island, ext, banned, the vertex tried below)
+    def search(island, ext, banned, light):
+        # light: the least weight of a set between island and the unbanned
+        # vertices, the island's gain plus the loss of every unbanned vertex
+        frames = []  # the nodes above: (island, ext, banned, light, the vertex tried below)
         u = 0  # the vertex whose subtree was just searched; 0 on entering a node
         while True:
             if not u:
@@ -184,8 +209,9 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
                     return island
             else:
                 banned |= u
-                # an island vertex saturated by banned ones ends the branch
                 w = u.bit_length() - 1
+                light -= loss[w]
+                # an island vertex saturated by banned ones ends the branch
                 for v in bits(island & adj[w]):
                     if (adj[v] & banned).bit_count() >= s:
                         ext = 0
@@ -194,24 +220,28 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
                 u = ext & -ext
                 ext ^= u
                 w = u.bit_length() - 1
-                # u with s banned neighbours lies in no island below
-                if (adj[w] & banned).bit_count() < s:
+                # u lies in no island below when the degree-sum bound holds no
+                # island with u, or when u has s banned neighbours
+                if light + gain[w] < 0 and (adj[w] & banned).bit_count() < s:
                     grown = island | u
                     if f.allows(g, grown, p, new=w if island & (island - 1) else None):
-                        frames.append((island, ext, banned, u))
+                        frames.append((island, ext, banned, light, u))
                         island, ext, u = grown, (ext | (adj[w] & active)) & ~grown & ~banned, 0
+                        light += gain[w]
             elif frames:
-                island, ext, banned, u = frames.pop()
+                island, ext, banned, light, u = frames.pop()
             else:
                 return 0
 
     for anchor in bits(active & ~lower):
         abit = 1 << anchor
-        if (adj[anchor] & active).bit_count() >= s and (adj[anchor] & lower).bit_count() < s:
-            found = search(abit, adj[anchor] & active & ~lower, lower)
+        if ((adj[anchor] & active).bit_count() >= s and (adj[anchor] & lower).bit_count() < s
+                and gain[anchor] + pool < 0):
+            found = search(abit, adj[anchor] & active & ~lower, lower, gain[anchor] + pool)
             if found:
                 return found
         lower |= abit
+        pool -= loss[anchor]
     return None
 
 
@@ -634,7 +664,10 @@ def island_free_exhaustive(g: Graph, s: int, f: Parameter, p: int, active=None):
     has f <= p).  Putting a vertex in O cuts the branch once a vertex of X
     has s neighbours in O, since O only grows.  At a leaf O is active minus
     X, so a nonempty X is an s-island with f <= p.  No ``new`` hint is
-    passed: no caller is trusted.
+    passed: no caller is trusted.  Nor does the walk use ``find_island``'s
+    degree-sum cut: it rests on ``Parameter.bounds_avg_degree``, a claim
+    about f that the check would have to take on trust, so ``verify`` stays
+    independent of the search it checks.
     """
     if active is None:
         active = g.full_mask()

@@ -87,6 +87,23 @@ def test_declared_flags():
     assert not PARAMETERS["chromatic"].bounds_avg_degree
 
 
+def test_avg_degree_flag_holds_at_small_scale():
+    """A flagged f with f(X) <= p gives X average degree below p + 1, the
+    slope of ``find_island``'s degree-sum cut.  K_{3,3} shows why fan and
+    chromatic are not flagged: both are 2 on it, and its average degree is 3."""
+    rng = random.Random(19)
+    for g in sample_graphs(30, 9, 19, min_n=1):
+        for f in PARAMETERS.values():
+            if f.bounds_avg_degree:
+                for _ in range(5):
+                    mask = rng.getrandbits(g.n) | 1
+                    degrees = sum((g.adj[v] & mask).bit_count() for v in bits(mask))
+                    assert degrees < (f.eval_mask(g, mask) + 1) * mask.bit_count(), (
+                        g.edges(), f.id, mask)
+    k33 = cons.complete_bipartite(3, 3)
+    assert FAN.eval(k33) == CHROMATIC.eval(k33) == 2 and average_degree(k33) == 3
+
+
 def test_hereditary_flag_holds_at_small_scale():
     rng = random.Random(11)
     for g in sample_graphs(30, 8, 11, min_n=1):
@@ -507,6 +524,30 @@ def test_mad_cap_asks_one_threshold(monkeypatch):
             assert steps in ([], [cap])
             flows += len(steps)
     assert flows > 30, flows
+
+
+def test_mad_new_hint_matches_unhinted():
+    """With ``new`` and a cap, a ``new`` vertex with 2 deg <= cap in the
+    mask settles the class test at once; on random (mask, new) pairs whose
+    mask without ``new`` is below the cap, the hinted verdict is the
+    unhinted one, whether the degree test fires or not."""
+    rng = random.Random(227)
+    outcomes = {}
+    for g in sample_graphs(300, 12, 227, min_n=2):
+        for _ in range(6):
+            mask = rng.getrandbits(g.n) | 1 << rng.randrange(g.n)
+            new = rng.choice(list(bits(mask)))
+            cap = rng.randint(1, 5)
+            if MAD.evaluator(g, mask & ~(1 << new), cap) >= cap:
+                continue  # the hint would not hold
+            verdict = MAD.evaluator(g, mask, cap) >= cap
+            assert (MAD.evaluator(g, mask, cap, new) >= cap) == verdict == (MAD.eval_mask(
+                g, mask) >= cap), (g.edges(), mask, new, cap)
+            fired = 2 * (g.adj[new] & mask).bit_count() <= cap
+            outcomes[fired, verdict] = outcomes.get((fired, verdict), 0) + 1
+    assert outcomes.get((True, True)) is None
+    assert min(outcomes[True, False], outcomes[False, False], outcomes[False, True]) > 50, (
+        outcomes)
 
 
 def test_chromatic_against_naive_oracle():

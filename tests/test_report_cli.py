@@ -558,6 +558,20 @@ def test_cli_verifies_large_lower_certificate_by_excluded_core(tmp_path, capsys)
     assert code == 0 and "OK" in out
 
 
+def test_cli_col_past_the_exhaustive_cap(tmp_path, capsys):
+    """``solve col`` on gnp:64,0.1,1 with mad p = 1 answers 4 (it ran past
+    150 s before the degree-sum cut); its lower certificate has 60
+    candidates, past the exhaustive check's cap of 16, so ``verify`` refuses
+    it."""
+    out_file = tmp_path / "col.json"
+    code, _, _ = run_cli(capsys, "solve", "col", "--gen", "gnp:64,0.1,1",
+                         "--f", "mad", "--p", "1", "--out", str(out_file))
+    assert code == 0
+    assert json.loads(out_file.read_text())["result"]["value"] == 4
+    code, out, err = run_cli(capsys, "verify", str(out_file))
+    assert code == 1 and "unverifiable at cap" in out + err
+
+
 def test_cli_usage_errors(capsys):
     assert run_cli(capsys, "param", "--gen", "nosuch:3", "--f", "star")[0] == 2
     assert run_cli(capsys, "param", "--f", "star")[0] == 2

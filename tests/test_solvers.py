@@ -96,11 +96,13 @@ def test_find_island_hints_change_nothing():
 
 
 def test_find_island_matches_unpruned_search():
-    """The banned-vertex cuts skip only subtrees that hold no island, so the
-    search returns the very mask the unpruned search finds first."""
+    """The banned-vertex and degree-sum cuts skip only subtrees that hold no
+    island, so the search returns the very mask the unpruned search finds
+    first, on random graphs of at most 14 vertices."""
     rng = random.Random(191)
     found = 0
-    for g in random_graph_sample(40, 10, 191, min_n=6):
+    sample = random_graph_sample(40, 10, 191, min_n=6) + random_graph_sample(20, 14, 199, min_n=11)
+    for g in sample:
         for f in PARAMETERS.values():
             for p, s in product(range(4), range(1, 5)):
                 for active in (g.full_mask(), rng.getrandbits(g.n)):
@@ -112,12 +114,35 @@ def test_find_island_matches_unpruned_search():
     assert found > 600, found
 
 
+def test_degree_sum_cut_enters_fewer_nodes():
+    """For mad, the degree-sum cut never enters more ``search`` nodes than
+    the same search on an f that does not claim to bound the average degree,
+    and it enters fewer on a good share of random graphs of at most 14
+    vertices, p <= 3, s <= 4 and random active masks."""
+    mad = PARAMETERS["mad"]
+    uncut = dataclasses.replace(mad, bounds_avg_degree=False)
+    search = nested_code(find_island, "search")
+    rng = random.Random(211)
+    fewer = 0
+    for g in random_graph_sample(60, 14, 211, min_n=6):
+        for p, s in product(range(4), range(1, 5)):
+            for active in (g.full_mask(), rng.getrandbits(g.n)):
+                island, nodes = count_calls(find_island, solvers._is_island.__code__, g, s,
+                                            mad, p, active, caller=search)
+                same, uncut_nodes = count_calls(find_island, solvers._is_island.__code__, g,
+                                                s, uncut, p, active, caller=search)
+                assert island == same and nodes <= uncut_nodes, (g.edges(), p, s, active)
+                fewer += nodes < uncut_nodes
+    assert fewer > 300, fewer
+
+
 def test_find_island_search_work_bound():
     """On the stuck remainders at s = col - 1 of the two costliest benchmark
-    peels, the unpruned search entered 7,117 (fan) and 1,374 (mad) nodes.
-    ``search`` tests each node it enters with ``_is_island``, once."""
+    peels, the unpruned search entered 7,117 (fan) and 1,374 (mad) nodes;
+    the degree-sum cut takes the mad search from 191 to 39.  ``search``
+    tests each node it enters with ``_is_island``, once."""
     for spec, f, p, bound in (((22, 0.3, 1), FAN, 3, 2000),
-                              ((20, 0.3, 1), PARAMETERS["mad"], 2, 300)):
+                              ((20, 0.3, 1), PARAMETERS["mad"], 2, 60)):
         g = cons.random_gnp(*spec)
         res = col_fp(g, f, p)
         island, nodes = count_calls(find_island, solvers._is_island.__code__, g,
@@ -128,17 +153,18 @@ def test_find_island_search_work_bound():
 
 def test_small_first_peel_matches_peel_dfs(monkeypatch):
     """Removing small islands first leaves the remainder, col value and
-    lower certificate of the peel that removes ``find_island``'s islands, on
-    random graphs of at most 14 vertices, p <= 3 and s <= 4.  Its islands
-    are a valid peel."""
+    lower certificate of the peel that removes ``find_island``'s islands
+    without the degree-sum cut, on random graphs of at most 14 vertices,
+    p <= 3 and s <= 4.  Its islands are a valid peel."""
     every_f = [dataclasses.replace(f, evaluator=functools.cache(f.evaluator))
                for f in PARAMETERS.values()]
+    uncut = {f.id: dataclasses.replace(f, bounds_avg_degree=False) for f in every_f}
     outcomes = Counter()
     for g in random_graph_sample(30, 14, 193, min_n=4):
         for f in every_f:
             for p, s in product(range(4), range(1, 5)):
                 islands, rest = peel(g, s, f, p)
-                want, want_rest = peel_dfs(g, s, f, p)
+                want, want_rest = peel_dfs(g, s, uncut[f.id], p)
                 assert rest == want_rest, (g.edges(), f.id, p, s)
                 if islands is not None:
                     assert verify_peel(g, islands, s, f, p), (g.edges(), f.id, p, s)
@@ -150,7 +176,7 @@ def test_small_first_peel_matches_peel_dfs(monkeypatch):
                     continue
                 with monkeypatch.context() as patched:
                     patched.setattr(solvers, "peel", peel_dfs)
-                    want = col_fp(g, f, p)
+                    want = col_fp(g, uncut[f.id], p)
                 assert (res.value, res.lower_certificate) == (
                     want.value, want.lower_certificate), (g.edges(), f.id, p)
     assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
@@ -185,15 +211,32 @@ def test_connected_sets_against_subset_oracle():
 def test_col_small_first_work_bound():
     """At s = 3 on gnp:48,0.1,1 with mad p = 1, one depth-first search of
     the peel entered 125,199 ``search`` nodes to find a 3-vertex island.
-    With small islands first the whole solve enters 2,809 and makes 5,053
-    class tests."""
+    With small islands first the whole solve entered 2,809 and made 5,053
+    class tests, and with the degree-sum cut as well 494 and 717."""
     g = cons.random_gnp(48, 0.1, 1)
     mad = PARAMETERS["mad"]
     res, nodes = count_calls(col_fp, solvers._is_island.__code__, g, mad, 1,
                              caller=nested_code(find_island, "search"))
-    assert res.value == 3 and nodes <= 4000, nodes
+    assert res.value == 3 and nodes <= 800, nodes
     res, tests = count_calls(col_fp, Parameter.allows.__code__, g, mad, 1)
-    assert res.value == 3 and tests <= 7000, tests
+    assert res.value == 3 and tests <= 1100, tests
+
+
+def test_col_degree_sum_cut_work_bound():
+    """gnp:64,0.1,1 with mad p = 1 ran past 150 s before the degree-sum cut:
+    at s = 3 the search on the 60-vertex remainder left by two small islands
+    found nothing.  Now the whole solve enters 10,849 ``search`` nodes, and
+    the remainder is proved island-free in 138."""
+    g = cons.random_gnp(64, 0.1, 1)
+    mad = PARAMETERS["mad"]
+    res, nodes = count_calls(col_fp, solvers._is_island.__code__, g, mad, 1,
+                             caller=nested_code(find_island, "search"))
+    assert res.value == 4 and nodes <= 15000, nodes
+    assert res.lower_certificate.bit_count() == 60
+    island, nodes = count_calls(find_island, solvers._is_island.__code__, g, 3, mad, 1,
+                                res.lower_certificate,
+                                caller=nested_code(find_island, "search"))
+    assert island is None and nodes <= 300, nodes
 
 
 def test_peel_and_verify_peel():
@@ -707,6 +750,7 @@ def test_island_free_walk_against_subset_oracle():
     rng = random.Random(167)
     every_f = [dataclasses.replace(f, evaluator=functools.cache(f.evaluator))
                for f in PARAMETERS.values()]
+    uncut = {f.id: dataclasses.replace(f, bounds_avg_degree=False) for f in every_f}
     outcomes = Counter()
     for _ in range(14):
         n = rng.randint(10, 16)
