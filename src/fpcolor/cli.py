@@ -77,32 +77,11 @@ def emit(args, report):
     if args.timing:
         report["elapsed_ms"] = int((time.monotonic() - args.started) * 1000)
     text = rep.canonical_json(report)
-    if getattr(args, "fmt", "json") == "table":
-        text = _as_table(report)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _as_table(report):
-    lines = []
-
-    def walk(key, val, depth):
-        pad = "  " * depth
-        if isinstance(val, dict):
-            lines.append(f"{pad}{key}:")
-            for k2, v2 in val.items():
-                walk(k2, v2, depth + 1)
-        elif isinstance(val, list) and len(val) > 8:
-            lines.append(f"{pad}{key}: [{len(val)} items]")
-        else:
-            lines.append(f"{pad}{key}: {val}")
-
-    for k, v in report.items():
-        walk(k, v, 0)
-    return "\n".join(lines) + "\n"
 
 
 def _inputs(g, **extra):
@@ -264,7 +243,6 @@ def build_parser():
 
     def common(sp):
         add_graph_args(sp)
-        sp.add_argument("--format", dest="fmt", choices=("json", "table"), default="json")
         sp.add_argument("--out")
 
     sp = sub.add_parser("param", help="evaluate a graph parameter")
@@ -305,7 +283,6 @@ def build_parser():
     sp = sub.add_parser("lemma", help="run a lemma-verification suite at its acceptance size",
                         argument_default=argparse.SUPPRESS)
     sp.add_argument("name", choices=sorted(suites.SUITES))
-    sp.add_argument("--format", dest="fmt", choices=("json", "table"), default="json")
     sp.add_argument("--out")
     # each flag sets the suite parameter named by its dest; a flag left out
     # takes the suite's own default

@@ -2,8 +2,8 @@
 
 Everything here is deterministic, so certificates are reproducible bit for
 bit.  Witness colourings break ties lowest-vertex-first and
-lowest-color-first; ``chi_fp`` refutes the colour counts below chi along a
-smallest-last order instead, which emits nothing.
+lowest-color-first, except ``chi_fp``'s, which is the colouring along a
+smallest-last order that proves chi, its colours renamed in index order.
 
 Every class test is ``Parameter.allows``, which asks only whether
 f(class) <= p; exact values of f are left to reports.  ``chi_fp`` only sets
@@ -381,8 +381,9 @@ def chi_fp(g: Graph, f: Parameter, p: int):
     tests than along index order.  First fit along that order, the first
     leaf of a search with n colours, bounds chi by its class count U;
     s = 1 .. U-1 are searched along it, and the first s that colours, or
-    else U, is chi.  The witness is then the first colouring at chi in index
-    order, which neither cut changes.
+    else U, is chi.  The colouring that settles chi (that first success, or
+    else first fit) is the witness, its colours renamed by first appearance
+    in index order, so vertex 0 has colour 0.
     """
     if g.n > CHI_N_CAP:
         raise CapExceeded(f"chi: n={g.n} exceeds cap {CHI_N_CAP}")
@@ -393,9 +394,12 @@ def chi_fp(g: Graph, f: Parameter, p: int):
         if not allowed[1 << v]:
             raise ValueError(f"chi undefined: f(single vertex {v}) > {p}")
     order = tuple(reversed(core_numbers(g, g.full_mask())))
-    top = 1 + max(find_coloring(order, g.n, allowed))
-    chi = next((s for s in range(1, top) if find_coloring(order, s, allowed) is not None), top)
-    return chi, find_coloring(range(g.n), chi, allowed)
+    first_fit = find_coloring(order, g.n, allowed)
+    found = next(filter(None, (find_coloring(order, s, allowed)
+                               for s in range(1, max(first_fit) + 1))), first_fit)
+    color_of, names = dict(zip(order, found)), {}
+    witness = tuple(names.setdefault(color_of[v], len(names)) for v in range(g.n))
+    return len(names), witness
 
 
 def exists_L_coloring(g: Graph, lists, f: Parameter, p: int):

@@ -263,13 +263,8 @@ def cli_argv(draw, directory):
             return ["--graph", write_input(directory, draw(input_files(*kinds)))]
         return []
 
-    def output_args(formats=True):
-        out = []
-        if formats and draw(st.booleans()):
-            out += ["--format", draw(st.sampled_from(("json", "table")))]
-        if draw(st.booleans()):
-            out += ["--out", os.path.join(directory, "out.txt")]
-        return out
+    def output_args():
+        return ["--out", os.path.join(directory, "out.txt")] if draw(st.booleans()) else []
 
     def flag(name, values):
         return [name, str(draw(values))] if draw(st.booleans()) else []
@@ -284,7 +279,7 @@ def cli_argv(draw, directory):
                  *output_args()]
     elif cmd == "generate":
         argv += graph_args() + flag("--emit", st.sampled_from(("g6", "edges")))
-        argv += output_args(formats=False)
+        argv += output_args()
     elif cmd == "adversary":
         argv += [*graph_args(), *flag("--s", small(3)), *flag("--k", small(2)),
                  *flag("--d", small(8)), *flag("--seed", small(9)), *flag("--trials", small(3)),

@@ -745,10 +745,12 @@ def test_cli_verify_bad_assignment_with_any_integer_colours(tmp_path, capsys):
 
 
 def test_cli_table_format(capsys):
-    code, out, _ = run_cli(capsys, "param", "--gen", "cycle:5", "--f", "star",
-                           "--format", "table")
-    assert code == 0
-    assert "value: 5" in out
+    """Reports have one format, canonical JSON: ``--format`` is a usage error."""
+    for argv in (("param", "--gen", "cycle:5", "--f", "star"), ("lemma", "path")):
+        with pytest.raises(SystemExit) as refused:
+            main([*argv, "--format", "table"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --format table" in capsys.readouterr().err
 
 
 def test_cli_adversary(capsys):
