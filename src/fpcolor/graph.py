@@ -12,10 +12,8 @@ parameter layer, so that ``chi`` and the chromatic parameter both search
 through it, with s interchangeable colours.  It tests colour classes
 through a ``ClassOracle``, a per-solve memo of "may this vertex set form a
 class" that hands each new test the vertex just added as ``new``, the hint
-``Parameter.allows`` takes.  Since parameters are hereditary it
-forward-checks: a branch ends as soon as a later neighbour of the vertex
-just coloured has no open class or fresh colour left, which skips only
-subtrees that hold no colouring.
+``Parameter.allows`` takes.  Since parameters are hereditary, a branch
+ends as soon as a partial class is refused.
 """
 
 from __future__ import annotations
@@ -421,59 +419,30 @@ def find_coloring(order, s, allowed):
 
     Parameters are hereditary: a class that is not allowed never recovers
     as it grows, so a partial class that is not allowed ends the branch at
-    once.  And once s colours are open, after a vertex joins class c each
-    later neighbour j is checked for an open class that still takes it
-    (forward checking); a j with none ends the branch.  Both cuts skip only
-    subtrees that hold no colouring, so the first colouring found is the one
-    the plain search finds.  A class is only ever grown from a set already
-    known to be allowed, so each miss hands the oracle the added vertex as
-    ``new``.
+    once.  That is the only cut; it skips only subtrees that hold no
+    colouring.  A class is only ever grown from a set already known to be
+    allowed, so each miss hands the oracle the added vertex as ``new``.
     """
     k = len(order)
     colors = [0] * k
     classes = {}
     get, miss = allowed.get, allowed.miss
-    adj, after = allowed.g.adj, 0
-    later = [None] * k  # vertex and bit of each neighbour coloured after order[i]
-    for i in reversed(range(k)):
-        v = order[i]
-        later[i] = [(j, 1 << j) for j in bits(adj[v] & after)]
-        after |= 1 << v
-
-    def takes(mask, j, jbit):
-        """Whether the class ``mask`` (allowed) may take vertex j."""
-        ok = get(mask | jbit)
-        if ok is None:
-            ok = miss(mask | jbit, j if mask else None)
-        return ok
-
-    def stranded(i, c, grown, opened):
-        """Whether class c, grown to ``grown`` by order[i], leaves a later
-        neighbour with no option; ``opened`` colours are then open."""
-        if opened < s:  # every vertex may still open a colour
-            return False
-        for j, jbit in later[i]:
-            for d in range(opened):
-                if takes(grown if d == c else classes.get(d, 0), j, jbit):
-                    break
-            else:
-                return True
-        return False
 
     def rec(i, used):
         if i == k:
             return True
         u = order[i]
-        bit = 1 << u
         for c in range(min(used + 1, s)):
             saved = classes.get(c, 0)
-            grown = saved | bit
-            opened = max(used, c + 1)
-            if not takes(saved, u, bit) or stranded(i, c, grown, opened):
+            grown = saved | 1 << u
+            ok = get(grown)
+            if ok is None:
+                ok = miss(grown, u if saved else None)
+            if not ok:
                 continue
             classes[c] = grown
             colors[i] = c
-            if rec(i + 1, opened):
+            if rec(i + 1, max(used, c + 1)):
                 return True
             classes[c] = saved
         return False

@@ -370,10 +370,8 @@ def chi_fp(g: Graph, f: Parameter, p: int):
 
     Every search is ``graph.find_coloring``, lowest colour first, with one
     ``ClassOracle`` for the whole solve.  A partial class already violating
-    f <= p ends a branch (f is hereditary, so a violation can never recover),
-    and so does a later neighbour of the vertex just coloured that no open
-    class or fresh colour takes any more (forward checking); each class test
-    passes the added vertex as ``new``.
+    f <= p ends a branch (f is hereditary, so a violation can never
+    recover); each class test passes the added vertex as ``new``.
 
     Whether s colours suffice does not depend on the vertex order, so the
     refutations run along a smallest-last order (Matula and Beck 1983), the

@@ -161,10 +161,10 @@ def peel_dfs(g, s, f, p, cutoff=None):
 
 
 def brute_find_coloring(order, palette, allowed):
-    """``graph.find_coloring`` before forward checking: the reference for the
-    first colouring in vertex order, lowest colour first.  Only a partial
-    class that is not allowed ends a branch, and every class test is
-    ``allowed[mask]``, with no ``new`` hint.  ``palette`` is an int s, or
+    """The plain colouring backtracker: the reference for the first colouring
+    in vertex order, lowest colour first, that ``graph.find_coloring`` must
+    find.  Only a partial class that is not allowed ends a branch, and every
+    class test is ``allowed[mask]``, with no ``new`` hint.  ``palette`` is an int s, or
     per-vertex colour lists as bitmasks, each tried in ascending order, the
     reference for ``solvers.exists_L_coloring``."""
     k = len(order)

@@ -6,11 +6,12 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from conftest import goldberg_denser_than
+from conftest import count_calls, goldberg_denser_than, nested_code
 from fpcolor import constructions as cons, density, params
 from fpcolor.density import exact_mad, max_density
 from fpcolor.errors import CapExceeded
-from fpcolor.graph import Graph, average_degree, bits, components, induced_subgraph, mask_of
+from fpcolor.graph import (Graph, average_degree, bits, components, find_coloring,
+                           induced_subgraph, mask_of)
 from fpcolor.params import PARAMETERS, get_parameter
 
 MAX_DEGREE = PARAMETERS["max-degree"]
@@ -562,6 +563,28 @@ def test_chromatic_against_naive_oracle():
 
     for g in sample_graphs(20, 6, 37):
         assert CHROMATIC.eval(g) == naive_chromatic(g)
+
+
+def test_chromatic_far_above_the_clique_bound():
+    """The Mycielski graphs M4 (11 vertices) and M5 (23) are triangle-free,
+    so the greedy clique bound is 2, and by Mycielski's theorem their
+    chromatic numbers are 4 and 5: the search must refute every count in
+    between.  M5 takes 32,614 search nodes (``find_coloring``'s ``rec``)."""
+    def mycielski(g):
+        n = g.n
+        edges = [*g.edges(), *((u, n + v) for u, v in g.edges()),
+                 *((v, n + u) for u, v in g.edges()), *((n + v, 2 * n) for v in range(n))]
+        return Graph(2 * n + 1, edges)
+
+    rec = nested_code(find_coloring, "rec")
+    m4 = mycielski(mycielski(Graph(2, [(0, 1)])))
+    m5 = mycielski(m4)
+    assert (m4.n, m5.n) == (11, 23)
+    for g in (m4, m5):  # triangle-free: no edge has a common neighbour
+        assert not any(g.adj[u] & g.adj[v] for u, v in g.edges())
+    assert count_calls(CHROMATIC.eval, rec, m4)[0] == 4
+    value, nodes = count_calls(CHROMATIC.eval, rec, m5)
+    assert value == 5 and nodes <= 36000, nodes
 
 
 def test_chromatic_builds_an_oracle_only_for_a_search(monkeypatch):

@@ -375,20 +375,24 @@ def test_chi_matches_smallest_last_oracles(monkeypatch):
 
 
 def test_chi_refutation_work_bound():
-    """Class tests of a whole chi solve.  The three chi jobs of the certify
-    benchmark (fan/2, max-degree/1, star/2), the density benchmark's mad/1
-    job, star/1 and Robertson/chromatic/2 take 103, 283, 1,687, 46, 299 and
-    53.  Refuting along index order took 7,475 on fan/2, 4,707 on
-    max-degree/1 and 2,525 on star/2, and a second, index-order search for
-    the witness took 535 of star/1's 834."""
-    for g, f, p, bound in ((cons.random_gnp(22, 0.4, 1), FAN, 2, 150),
-                           (cons.random_gnp(24, 0.3, 1), MAX_DEGREE, 1, 350),
-                           (cons.random_gnp(24, 0.5, 1), STAR, 2, 1900),
-                           (cons.random_gnp(16, 0.4, 1), PARAMETERS["mad"], 1, 80),
-                           (cons.random_gnp(24, 0.5, 1), STAR, 1, 400),
-                           (cons.robertson(), PARAMETERS["chromatic"], 2, 70)):
+    """Class tests and search nodes (``find_coloring``'s ``rec`` calls) of a
+    whole chi solve.  The three chi jobs of the certify benchmark (fan/2,
+    max-degree/1, star/2), the density benchmark's mad/1 job, star/1 and
+    Robertson/chromatic/2 make 65, 243, 1,132, 38, 249 and 42 class tests in
+    36, 155, 1,889, 20, 158 and 105 nodes.  Forward checking took 103, 283,
+    1,687, 46, 299 and 53 class tests for fewer nodes; refuting along index
+    order took 7,475 on fan/2, 4,707 on max-degree/1 and 2,525 on star/2."""
+    rec = nested_code(find_coloring, "rec")
+    for g, f, p, max_tests, max_nodes in (
+            (cons.random_gnp(22, 0.4, 1), FAN, 2, 78, 47),
+            (cons.random_gnp(24, 0.3, 1), MAX_DEGREE, 1, 290, 200),
+            (cons.random_gnp(24, 0.5, 1), STAR, 2, 1360, 2450),
+            (cons.random_gnp(16, 0.4, 1), PARAMETERS["mad"], 1, 45, 26),
+            (cons.random_gnp(24, 0.5, 1), STAR, 1, 300, 205),
+            (cons.robertson(), PARAMETERS["chromatic"], 2, 50, 136)):
         _, tests = count_calls(chi_fp, Parameter.allows.__code__, g, f, p)
-        assert tests <= bound, (g.name, f.id, p, tests)
+        _, nodes = count_calls(chi_fp, rec, g, f, p)
+        assert tests <= max_tests and nodes <= max_nodes, (g.name, f.id, p, tests, nodes)
 
 
 def test_exists_L_coloring():
@@ -425,11 +429,11 @@ def test_exists_L_coloring_matches_the_list_backtracker():
 
 
 def test_find_coloring_matches_unpruned_search():
-    """Forward checking ends only branches that hold no colouring: the same
-    first colouring, or None, as the unpruned backtracker, on every built-in
-    parameter, with s = 1..chi colours, in index order and in a shuffled
-    order over some of the vertices.  Every verdict the search stored after
-    a miss with a ``new`` hint is the verdict without it."""
+    """``find_coloring`` finds the same first colouring, or None, as the
+    plain backtracker, which tests each class without a ``new`` hint, on
+    every built-in parameter, with s = 1..chi colours, in index order and in
+    a shuffled order over some of the vertices.  Every verdict the search
+    stored after a miss with a ``new`` hint is the verdict without it."""
     rng = random.Random(173)
     outcomes = Counter()
     for g in random_graph_sample(40, 9, 173):
@@ -452,17 +456,6 @@ def test_find_coloring_matches_unpruned_search():
                         assert all(ok == f.allows(g, m, p) for m, ok in allowed.items())
                         outcomes[got is None] += 1
     assert outcomes[True] > 1000 and outcomes[False] > 1000, outcomes
-
-
-def test_forward_checking_work_bound():
-    """Refuting s = 3 on gnp:24,0.3,1 with max-degree p = 1 filled a fresh
-    oracle with 10,107 class tests in 27,791 search nodes before forward
-    checking, and fills it with 4,661 in 2,889 nodes now."""
-    g = cons.random_gnp(24, 0.3, 1)
-    allowed = ClassOracle(g, MAX_DEGREE.allows, 1)
-    colors, calls = count_calls(find_coloring, "rec", range(g.n), 3, allowed)
-    assert colors is None
-    assert len(allowed) <= 6000 and calls <= 4000, (len(allowed), calls)
 
 
 def test_certificates_are_pinned():
