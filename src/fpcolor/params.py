@@ -8,7 +8,8 @@ f of a component) and monotone (f(H) <= f(G) for each subgraph H, so a star
 inside a set bounds f of the set).  The test suite falsifies each at small
 scale for every built-in.  ``bounds_avg_degree`` is the one flag that varies.
 When set, every graph X with f(X) <= p has average degree below p + 1, so
-2|E(X)| < (p + 1)|X|, and ``solvers.find_island`` cuts its search with it.
+2|E(X)| < (p + 1)|X|, and ``solvers.find_island`` cuts its search with it;
+when clear, ``solvers.excluded_core`` tests each vertex's neighbourhood.
 
 Conventions on degenerate inputs: every built-in evaluates to 0 on the
 null graph; fan of a single vertex is 1 and fan of any graph with an edge

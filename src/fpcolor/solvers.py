@@ -56,6 +56,7 @@ COL_N_CAP = 64
 CHI_N_CAP = 24
 EXHAUSTIVE_ISLAND_CAP = 16
 SMALL_ISLAND = 4  # the largest island peel's small pass looks for
+NEIGHBOURHOOD_BUDGET = 1 << 14  # class lookups of one neighbourhood test in ``excluded_core``
 
 
 @dataclass(frozen=True)
@@ -101,26 +102,107 @@ def star_cutoff(g: Graph, f: Parameter, p: int) -> int:
     return top + 1
 
 
-def excluded_core(g: Graph, s: int, active, cutoff: int):
-    """The vertices of g[active] that lie in no s-island with f <= p, where
-    ``cutoff`` is ``star_cutoff(g, f, p)``.
+def excluded_core(g: Graph, s: int, f: Parameter, p: int, active, cutoff=None, allowed=None):
+    """The vertices of g[active] that lie in no s-island with f <= p.
 
-    A vertex v of an island X has fewer than s neighbours outside X, so at
-    least k = deg(v) - s + 1 inside it: g[X] contains K_{1,k}, and as f is
-    monotone, f(X) >= f(K_{1,k}).  So v is excluded once max(k, 0) >=
-    cutoff, and so is every vertex with s excluded neighbours, which always
-    lie outside X; the rule is applied to a fixed point.
+    ``cutoff`` is ``star_cutoff(g, f, p)`` unless given, and ``allowed`` a
+    ``ClassOracle`` of f at p that the caller's solve shares (a fresh one
+    otherwise).  Two rules, both sound for every hereditary, monotone f.
+
+    The star rule.  A vertex v of an island X has fewer than s neighbours
+    outside X, so at least k = deg_A(v) - s + 1 inside it, A being
+    ``active``: g[X] contains K_{1,k}, and as f is monotone, f(X) >=
+    f(K_{1,k}).  So v is excluded once max(k, 0) >= cutoff, and so is every
+    vertex with s excluded neighbours, which always lie outside X; the rule
+    is applied to a fixed point.
+
+    The neighbourhood rule, for an f that bounds no average degree (fan and
+    chromatic, on which the star rule rules out nothing at p >= 2): v, with
+    k >= 2, is excluded when no k-subset T of its active neighbours outside
+    the core has f(v + T) <= p.  The k neighbours v keeps inside an island
+    would form such a T, and f is hereditary.  For star and max-degree
+    f(v + T) depends on |T| alone, so the star rule already decides; for mad
+    it rules out little at the price of flows.  The vertices are tested
+    highest degree first, each exclusion is carried through the star rule
+    before the next test, and the tests start again from the top until none
+    excludes a vertex.  A vertex kept by a set T (or, undecided, by its
+    candidates) is not tested again while that set misses the core.
     """
-    core = 0
+    if cutoff is None:
+        cutoff = star_cutoff(g, f, p)
+    adj = g.adj
+    core, order = 0, None
     while True:
         grown = 0
-        for v in bits(active & ~core):
-            if (max((g.adj[v] & active).bit_count() - s + 1, 0) >= cutoff
-                    or (g.adj[v] & core).bit_count() >= s):
+        for v in bits(active & ~core):  # the star rule
+            if (max((adj[v] & active).bit_count() - s + 1, 0) >= cutoff
+                    or (adj[v] & core).bit_count() >= s):
                 grown |= 1 << v
-        if not grown:
+        if grown:
+            core |= grown
+            continue
+        if f.bounds_avg_degree:
             return core
-        core |= grown
+        if order is None:  # the star rule's first fixed point: set up the neighbourhood rule
+            if allowed is None:
+                allowed = ClassOracle(g, f.allows, p)
+            need = {v: (adj[v] & active).bit_count() - s + 1 for v in bits(active & ~core)}
+            order = sorted((v for v in need if need[v] >= 2), key=need.__getitem__, reverse=True)
+            kept = {}  # v -> the vertices whose exclusion could undo v's last verdict
+        for v in order:
+            if core >> v & 1 or (v in kept and not kept[v] & core):
+                continue
+            kept[v] = _neighbourhood_set(v, adj[v] & active & ~core, need[v], allowed)
+            if not kept[v]:
+                core |= 1 << v
+                break
+        else:
+            return core
+
+
+def _neighbourhood_set(v, candidates, k, allowed):
+    """A k-subset T of ``candidates`` with ``allowed[v + T]``, or 0 if there
+    is none; ``candidates`` itself when the search stops undecided.
+
+    T grows in ascending vertex order, and a prefix that is not allowed ends
+    its branch (f is hereditary), as does one that too few candidates are
+    left to complete.  Each grown set is tested with the added vertex as
+    ``new``.  The search stops undecided after ``NEIGHBOURHOOD_BUDGET``
+    lookups or on a parameter's cap, which leaves v in: keeping a vertex is
+    always sound.
+    """
+    vbit = 1 << v
+    verts = list(bits(candidates))
+    if len(verts) < k or not allowed[vbit]:
+        return 0
+    budget = NEIGHBOURHOOD_BUDGET
+
+    def grow(chosen, start, short):
+        # a set of ``short`` more vertices from verts[start:] completing
+        # ``chosen``, 0 if none, None once the budget is spent
+        nonlocal budget
+        if not short:
+            return chosen
+        for j in range(start, len(verts) - short + 1):
+            budget -= 1
+            if budget < 0:
+                return None
+            u = 1 << verts[j]
+            mask = vbit | chosen | u
+            ok = allowed.get(mask)
+            if ok is None:
+                ok = allowed.miss(mask, verts[j])
+            if ok:
+                found = grow(chosen | u, j + 1, short - 1)
+                if found != 0:
+                    return found
+        return 0
+
+    try:
+        found = grow(0, 0, k)
+    except CapExceeded:
+        found = None
+    return candidates if found is None else found
 
 
 def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None, core=None):
@@ -130,15 +212,16 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
     f <= p, so None means no island at all.
 
     The vertices of ``excluded_core`` start out banned and are never
-    anchors.  None lies in an island: an island vertex has at least
-    deg - s + 1 neighbours inside it, so f is at least its value on that
-    star, which ``cutoff`` (``star_cutoff(g, f, p)`` unless given) bounds.
-    A caller that has the core passes it as ``core``, and with it vouches
-    that no vertex outside it is a singleton island with f <= p; the
-    singleton scan, lowest vertex first, is then skipped.  A vertex with
-    fewer than s active neighbours is a singleton island, so once the scan
-    finds none with f <= p, no such vertex is a search root either (the
-    search would return it untested).
+    anchors.  None lies in an island: an island vertex keeps at least
+    deg - s + 1 neighbours inside it, so f of the island is at least f of
+    that star, which ``cutoff`` (``star_cutoff(g, f, p)`` unless given)
+    bounds, and for fan and chromatic at least f of the vertex with those
+    neighbours (the core's neighbourhood rule).  A caller that has the core
+    passes it as ``core``, and with it vouches that no vertex outside it is
+    a singleton island with f <= p; the singleton scan, lowest vertex
+    first, is then skipped.  A vertex with fewer than s active neighbours
+    is a singleton island, so once the scan finds none with f <= p, no such
+    vertex is a search root either (the search would return it untested).
 
     The search grows an island in ascending order and bans each vertex (an
     anchor included) once its subtree is done; a banned vertex stays outside
@@ -180,9 +263,7 @@ def find_island(g: Graph, s: int, f: Parameter, p: int, active=None, cutoff=None
         return None
     adj = g.adj
     if core is None:
-        if cutoff is None:
-            cutoff = star_cutoff(g, f, p)
-        lower = excluded_core(g, s, active, cutoff)
+        lower = excluded_core(g, s, f, p, active, cutoff)
         for v in bits(active & ~lower):
             if (adj[v] & active).bit_count() < s and f.allows(g, 1 << v, p):
                 return 1 << v
@@ -303,7 +384,7 @@ def _small_island(g, s, f, p, active, core):
     return None
 
 
-def peel(g: Graph, s: int, f: Parameter, p: int, cutoff=None):
+def peel(g: Graph, s: int, f: Parameter, p: int, cutoff=None, allowed=None):
     """Repeatedly remove s-islands with f <= p.
 
     Returns (island masks, 0) when the graph peels away completely, or
@@ -322,7 +403,7 @@ def peel(g: Graph, s: int, f: Parameter, p: int, cutoff=None):
     active = g.full_mask()
     islands = []
     while active:
-        core = excluded_core(g, s, active, cutoff)
+        core = excluded_core(g, s, f, p, active, cutoff, allowed)
         if core == active:  # no vertex left can lie in an island
             return None, active
         island = (_small_island(g, s, f, p, active, core)
@@ -350,10 +431,12 @@ def col_fp(g: Graph, f: Parameter, p: int) -> ColResult:
                 f"col undefined: f(single vertex {v}) > {p}, vertex can join no island"
             )
     cutoff = star_cutoff(g, f, p)
+    # the class oracle of excluded_core's neighbourhood rule, shared by every peel
+    allowed = None if f.bounds_avg_degree else ClassOracle(g, f.allows, p)
     lower_cert = None
     s = 1
     while True:
-        islands, remainder = peel(g, s, f, p, cutoff)
+        islands, remainder = peel(g, s, f, p, cutoff, allowed)
         if islands is not None:
             return ColResult(s, tuple(islands), lower_cert)
         lower_cert = remainder
@@ -653,8 +736,11 @@ def island_free_exhaustive(g: Graph, s: int, f: Parameter, p: int, active=None):
 
     Ranges over all nonempty subsets (not only connected ones) of the
     vertices left by ``excluded_core``, which lie in no island: a vertex of
-    an island has at least deg - s + 1 neighbours in it, so f is at least
-    its value on that star.  The cap counts the vertices left, so a
+    an island has at least k = deg - s + 1 neighbours in it, so f is at
+    least its value on that star, and at least f of the vertex with any k
+    of those neighbours.  Both rules rest only on f being hereditary and
+    monotone; ``bounds_avg_degree`` decides only whether the second runs, and
+    either answer is sound.  The cap counts the vertices left, so a
     certificate the core covers is accepted at any size.  Used to re-verify
     lower certificates without trusting solver internals.
 
@@ -673,7 +759,7 @@ def island_free_exhaustive(g: Graph, s: int, f: Parameter, p: int, active=None):
     """
     if active is None:
         active = g.full_mask()
-    candidates = active & ~excluded_core(g, s, active, star_cutoff(g, f, p))
+    candidates = active & ~excluded_core(g, s, f, p, active)
     verts = list(bits(candidates))
     k = len(verts)
     if k > EXHAUSTIVE_ISLAND_CAP:

@@ -94,15 +94,13 @@ def find_island_unpruned(g, s, f, p, active=None, cutoff=None):
     vertices: the reference for the first island in depth-first order.  Each
     search node tests its island vertices against the banned set, and every
     vertex added is class-tested first."""
-    from fpcolor.solvers import _is_island, excluded_core, star_cutoff
+    from fpcolor.solvers import _is_island, excluded_core
 
     if active is None:
         active = g.full_mask()
     if not active:
         return None
-    if cutoff is None:
-        cutoff = star_cutoff(g, f, p)
-    lower = excluded_core(g, s, active, cutoff)
+    lower = excluded_core(g, s, f, p, active, cutoff)
     rejected = 0
     for v in bits(active & ~lower):
         if (g.adj[v] & active).bit_count() < s:
@@ -141,10 +139,11 @@ def find_island_unpruned(g, s, f, p, active=None, cutoff=None):
     return None
 
 
-def peel_dfs(g, s, f, p, cutoff=None):
+def peel_dfs(g, s, f, p, cutoff=None, allowed=None):
     """``solvers.peel`` before its small-island pass: every step removes the
     island ``find_island`` finds.  The reference for the remainder of a
-    stuck peel."""
+    stuck peel.  ``allowed``, the class oracle ``col_fp`` shares, goes
+    unused: each ``find_island`` call builds its own."""
     from fpcolor.solvers import find_island, star_cutoff
 
     if cutoff is None:

@@ -14,11 +14,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import count_calls
 from fpcolor import cli
 from fpcolor import constructions as cons
 from fpcolor import suites
 from fpcolor.cli import main
-from fpcolor.params import PARAMETERS
+from fpcolor.params import PARAMETERS, Parameter
 from fpcolor.report import (
     CertificateError,
     assignment_to_json,
@@ -556,6 +557,53 @@ def test_cli_verifies_large_lower_certificate_by_excluded_core(tmp_path, capsys)
     assert len(rep["certificate"]["lower"]["vertices"]) == 36
     code, out, _ = run_cli(capsys, "verify", str(out_file))
     assert code == 0 and "OK" in out
+
+
+def test_cli_verifies_the_fan_lower_certificate_at_its_size(tmp_path, capsys):
+    """``solve col`` on gnp:22,0.3,1 with fan p = 3 answers 4 with a lower
+    certificate of 20 vertices at s = 3.  The neighbourhood rule of the
+    excluded core rules out all 20, where the star rule ruled out none and
+    ``verify`` refused it at the cap of 16.  With the vertices of an island
+    of the whole graph at s = 3 put back (the peel removed them), it is
+    INVALID."""
+    path = tmp_path / "col.json"
+    code, _, _ = run_cli(capsys, "solve", "col", "--gen", "gnp:22,0.3,1", "--f", "fan",
+                         "--p", "3", "--out", str(path))
+    assert code == 0
+    report = json.loads(path.read_text())
+    lower = report["certificate"]["lower"]
+    assert report["result"]["value"] == 4 and lower["s"] == 3 and len(lower["vertices"]) == 20
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0 and "certificate OK" in out
+    island = find_island(cons.random_gnp(22, 0.3, 1), 3, PARAMETERS["fan"], 3)
+    assert island and not island & mask_of(lower["vertices"])
+    lower["vertices"] = sorted([*lower["vertices"], *bits(island)])
+    code, out, _ = _verify_tampered(tmp_path, capsys, report)
+    assert code == 1 and "INVALID" in out
+
+
+def test_fan_jobs_class_test_counts(tmp_path, capsys):
+    """Class tests (``Parameter.allows`` calls) of ``solve`` and then
+    ``verify`` on the four fan jobs of the certify workload that reach the
+    excluded core, and on gnp:30,0.3,2, are bounded at about 1.2x their
+    counts with the neighbourhood rule: 525 + 164, 99 + 12, 164 + 124, 120
+    (no certificate) and 1,593 + 715.  Without the rule they were 2,578 + 12,
+    48 + 20, 208 + 601, 123 and 85,491 + 28."""
+    allows = Parameter.allows.__code__
+    path = str(tmp_path / "report.json")
+    for argv, bound in (("solve col --gen gnp:22,0.3,1 --f fan --p 3", 830),
+                        ("solve col --gen gnp:16,0.3,1 --f fan --p 3", 135),
+                        ("solve col --gen fan-join:3 --f fan --p 3", 345),
+                        ("solve island --gen fan-join:3 --f fan --p 3 --s 3", 145),
+                        ("solve col --gen gnp:30,0.3,2 --f fan --p 3", 2770)):
+        code, solved = count_calls(main, allows, [*argv.split(), "--out", path])
+        assert code == 0, argv
+        checked = 0
+        if json.loads(Path(path).read_text())["certificate"] is not None:
+            code, checked = count_calls(main, allows, ["verify", path])
+            assert code == 0, argv
+        capsys.readouterr()
+        assert solved + checked <= bound, (argv, solved, checked)
 
 
 def test_cli_col_past_the_exhaustive_cap(tmp_path, capsys):

@@ -115,13 +115,17 @@ def test_find_island_matches_unpruned_search():
     assert found > 600, found
 
 
-def test_degree_sum_cut_enters_fewer_nodes():
+def test_degree_sum_cut_enters_fewer_nodes(monkeypatch):
     """For mad, the degree-sum cut never enters more ``search`` nodes than
     the same search on an f that does not claim to bound the average degree,
     and it enters fewer on a good share of random graphs of at most 14
-    vertices, p <= 3, s <= 4 and random active masks."""
+    vertices, p <= 3, s <= 4 and random active masks.  Both searches start
+    from mad's excluded core: on the uncut f the core would also apply the
+    neighbourhood rule, which is not the cut under test."""
     mad = PARAMETERS["mad"]
     uncut = dataclasses.replace(mad, bounds_avg_degree=False)
+    monkeypatch.setattr(solvers, "excluded_core",
+                        lambda g, s, f, p, *rest: excluded_core(g, s, mad, p, *rest))
     search = nested_code(find_island, "search")
     rng = random.Random(211)
     fewer = 0
@@ -150,6 +154,37 @@ def test_find_island_search_work_bound():
                                     res.value - 1, f, p, res.lower_certificate,
                                     caller=nested_code(find_island, "search"))
         assert island is None and nodes <= bound, (spec, f.id, nodes)
+
+
+def test_neighbourhood_rule_work_bound(monkeypatch):
+    """The neighbourhood test on a centre whose 20 neighbours form a perfect
+    matching, fan and chromatic at p = 2: a set T of neighbours passes only
+    if it is independent, so none of more than 10 vertices does, and the
+    centre is excluded at s <= 10.  At s = 10 (k = 11) the search makes
+    9,800 class tests, and 16,831 over s = 1 .. 20.  A search that spends
+    ``NEIGHBOURHOOD_BUDGET`` lookups stops and keeps its vertex: with the
+    budget at 1,000 the centre stays in at s = 8, 9 and 10.  So does one
+    that meets a parameter's cap, as on K_{1,25} at s = 1, where the centre
+    and 21 leaves exceed the caps of fan and chromatic."""
+    g = Graph(21, [(0, v) for v in range(1, 21)] + [(v, v + 1) for v in range(1, 21, 2)])
+    allows = Parameter.allows.__code__
+    for f in (FAN, CHROMATIC):
+        total = 0
+        for s in range(1, 21):
+            core, tests = count_calls(excluded_core, allows, g, s, f, 2, g.full_mask())
+            assert bool(core & 1) == (s <= 10), (f.id, s)
+            total += tests
+            if s == 10:
+                assert tests <= 11_800, (f.id, tests)
+        assert total <= 20_200, (f.id, total)
+    monkeypatch.setattr(solvers, "NEIGHBOURHOOD_BUDGET", 1000)
+    for f in (FAN, CHROMATIC):
+        for s in range(1, 21):
+            core, tests = count_calls(excluded_core, allows, g, s, f, 2, g.full_mask())
+            assert bool(core & 1) == (s <= 7), (f.id, s)
+            assert tests <= 1001, (f.id, s, tests)
+        star = cons.complete_bipartite(1, 25)
+        assert excluded_core(star, 1, f, 2, star.full_mask()) == 0, f.id
 
 
 def test_small_first_peel_matches_peel_dfs(monkeypatch):
@@ -299,13 +334,14 @@ def test_caps_raise():
     with pytest.raises(CapExceeded):
         decide_choosability_fp(cons.cycle(5), 4, STAR, 1)
     # the excluded core covers this graph, so no subset is enumerated; with
-    # mad or fan it rules out nothing and all 20 vertices meet the cap of 16
+    # mad it rules out nothing and all 20 vertices meet the cap of 16, and
+    # with fan at s = 6 the neighbourhood rule leaves 18
     dense = cons.random_gnp(20, 0.5, 5)
     assert island_free_exhaustive(dense, 2, STAR, 1) is True
     with pytest.raises(CapExceeded):
         island_free_exhaustive(dense, 2, PARAMETERS["mad"], 2)
     with pytest.raises(CapExceeded):
-        island_free_exhaustive(dense, 2, FAN, 3)
+        island_free_exhaustive(dense, 6, FAN, 3)
 
 
 def test_chi_matches_chromatic_and_brute():
@@ -749,30 +785,40 @@ def test_island_free_exhaustive_on_masks():
 
 def test_island_free_walk_against_subset_oracle():
     """The pruned walk against every subset of g[active], on random graphs
-    whose core leaves 10 to 16 candidates, for every built-in parameter."""
+    whose core leaves 10 to 16 candidates, for every built-in parameter.
+    The neighbourhood rule leaves so many candidates in an island-free fan
+    graph only rarely, so col's lower certificates of four graphs of at most
+    16 vertices, fan and chromatic at p = 3, join the draws."""
     rng = random.Random(167)
     every_f = [dataclasses.replace(f, evaluator=functools.cache(f.evaluator))
                for f in PARAMETERS.values()]
     uncut = {f.id: dataclasses.replace(f, bounds_avg_degree=False) for f in every_f}
-    outcomes = Counter()
+    cases = []  # (g, active, s, parameters, p values)
     for _ in range(14):
         n = rng.randint(10, 16)
         g = cons.random_gnp(n, rng.uniform(0.15, 0.5), rng.getrandbits(32))
         active = g.full_mask()
         if rng.random() < 0.7:
             active &= ~mask_of(v for v in range(n) if rng.random() < 0.15)
-        for s in (1, 2, 3):
-            by_size = sorted(islands_brute(g, s, active), key=int.bit_count)
-            for f in every_f:
-                for p in range(4):
-                    k = (active & ~excluded_core(g, s, active, star_cutoff(g, f, p))).bit_count()
-                    if k < 10:
-                        continue
-                    free = not any(f.eval_mask(g, m) <= p for m in by_size)
-                    assert island_free_exhaustive(g, s, f, p, active) == free, (
-                        g.edges(), active, f.id, p, s)
-                    outcomes[f.id, free] += 1
-                    outcomes[k] += 1
+        cases += [(g, active, s, every_f, range(4)) for s in (1, 2, 3)]
+    for spec, f in (((14, 0.5, 1), FAN), ((16, 0.5, 3), FAN),
+                    ((15, 0.3, 1), CHROMATIC), ((16, 0.4, 2), CHROMATIC)):
+        g = cons.random_gnp(*spec)
+        res = col_fp(g, f, 3)
+        cases.append((g, res.lower_certificate, res.value - 1, [f], [3]))
+    outcomes = Counter()
+    for g, active, s, parameters, ps in cases:
+        by_size = sorted(islands_brute(g, s, active), key=int.bit_count)
+        for f in parameters:
+            for p in ps:
+                k = (active & ~excluded_core(g, s, f, p, active)).bit_count()
+                if k < 10:
+                    continue
+                free = not any(f.eval_mask(g, m) <= p for m in by_size)
+                assert island_free_exhaustive(g, s, f, p, active) == free, (
+                    g.edges(), active, f.id, p, s)
+                outcomes[f.id, free] += 1
+                outcomes[k] += 1
     # the core rules out high-degree vertices for star and max-degree, so
     # with 10 or more candidates only the other parameters are island-free
     assert all(outcomes[f.id, False] for f in every_f), outcomes
@@ -806,9 +852,12 @@ def _is_island_of(g, island, active, s):
 
 def test_excluded_core_against_brute_force():
     """No excluded vertex lies in an island, and the searches that use the
-    core agree with the definitional oracles, for every built-in parameter."""
+    core agree with the definitional oracles, for every built-in parameter,
+    p <= 3 and s <= 3.  The neighbourhood rule makes fan and chromatic, on
+    which the star rule rules out nothing at p >= 2, exclude vertices there."""
     rng = random.Random(157)
     excluded = covered = 0
+    by_neighbourhood = Counter()  # f -> vertices excluded at p >= 2
     for g in random_graph_sample(30, 8, 157, min_n=4):
         full = g.full_mask()
         for f in PARAMETERS.values():
@@ -819,18 +868,22 @@ def test_excluded_core_against_brute_force():
                 good = [m for m in range(1, full + 1) if f.eval_mask(g, m) <= p]
                 for s in (1, 2, 3):
                     for active in (full, rng.getrandbits(g.n)):
-                        core = excluded_core(g, s, active, cutoff)
+                        core = excluded_core(g, s, f, p, active, cutoff)
                         islands = [m for m in good
                                    if not m & ~active and _is_island_of(g, m, active, s)]
                         assert not any(m & core for m in islands), (g.edges(), f.id, p, s)
                         assert island_free_exhaustive(g, s, f, p, active) == (not islands)
                         excluded += core.bit_count()
                         covered += bool(active) and core == active
+                        if p >= 2:
+                            by_neighbourhood[f.id] += core.bit_count()
                     got = find_island(g, s, f, p)
                     assert (got is not None) == has_island_brute(g, s, f, p)
                 if all(f.eval_mask(g, 1 << v) <= p for v in range(g.n)):
                     assert col_fp(g, f, p).value == brute_col(g, f, p), (g.edges(), f.id, p)
     assert excluded > 3000 and covered > 500, (excluded, covered)
+    # 319 and 278 vertices; the star rule alone excludes none for either
+    assert by_neighbourhood["fan"] > 250 and by_neighbourhood["chromatic"] > 200, by_neighbourhood
 
 
 def test_col_work_count_with_excluded_core():
