@@ -9,7 +9,7 @@ inside a set bounds f of the set).  The test suite falsifies each at small
 scale for every built-in.  ``bounds_avg_degree`` is the one flag that varies.
 When set, every graph X with f(X) <= p has average degree below p + 1, so
 2|E(X)| < (p + 1)|X|, and ``solvers.find_island`` cuts its search with it;
-when clear, ``solvers.excluded_core`` tests each vertex's neighbourhood.
+when clear, ``check.excluded_core`` tests each vertex's neighbourhood.
 
 Conventions on degenerate inputs: every built-in evaluates to 0 on the
 null graph; fan of a single vertex is 1 and fan of any graph with an edge
@@ -151,13 +151,12 @@ def _independent(g, mask, _p, new=None):
 
 def _chromatic(g, mask, cap=None, new=None):
     """Least s with an s-colouring, between a greedy clique and a greedy
-    colouring; with ``cap`` no s past ``cap - 1`` is tried."""
+    colouring; with ``cap`` no s past ``cap - 1`` is tried, and a greedy
+    colouring below ``cap`` is the answer.  Only the exact search is capped."""
     verts = list(bits(mask))
     k = len(verts)
     if k == 0:
         return 0
-    if k > CHROMATIC_CAP:
-        raise CapExceeded(f"chromatic: n={k} exceeds cap {CHROMATIC_CAP}")
     # order by degree inside the mask, densest first
     verts.sort(key=lambda v: -(g.adj[v] & mask).bit_count())
 
@@ -176,7 +175,9 @@ def _chromatic(g, mask, cap=None, new=None):
     upper = max(colors.values()) + 1
 
     tries = range(clique, upper if cap is None else min(upper, cap))
-    if tries:  # the bounds often leave no count to try, and then need no oracle
+    if tries and (cap is None or upper >= cap):  # else the bounds answer with no search
+        if k > CHROMATIC_CAP:
+            raise CapExceeded(f"chromatic: n={k} exceeds cap {CHROMATIC_CAP}")
         independent = ClassOracle(g, _independent, 0)
         for s in tries:
             if find_coloring(verts, s, independent) is not None:

@@ -3,7 +3,7 @@
 Reports are the product's single output format; with fixed inputs and seeds
 they are byte-identical across runs (timing is opt-in precisely so the
 default output stays canonical).  ``verify_report`` re-checks certificates
-against the definitions only, never trusting solver internals.
+with ``fpcolor.check``, from the definitions only: no solver is imported.
 """
 
 from __future__ import annotations
@@ -11,17 +11,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from fpcolor.check import (exists_L_coloring, is_island, island_free_exhaustive,
+                           verify_fp_proper, verify_peel)
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import Graph, GraphError, bits, from_graph6, mask_of
 from fpcolor.params import get_parameter
-from fpcolor.solvers import (
-    ColResult,
-    exists_L_coloring,
-    island_free_exhaustive,
-    verify_fp_proper,
-    verify_peel,
-    _is_island,
-)
 
 BAD_ASSIGNMENT_VERIFY_CAP = 10**6
 
@@ -68,7 +62,7 @@ def peel_to_json(islands, s, f_id, p):
     }
 
 
-def col_to_json(res: ColResult, f_id, p):
+def col_to_json(res, f_id, p):
     lower = None
     if res.lower_certificate is not None:
         lower = {
@@ -203,7 +197,7 @@ def verify_certificate(g: Graph, cert: dict) -> bool:
         stated = {key: cert[key] for key in claims}
         if json.dumps(stated, sort_keys=True) != json.dumps(claims, sort_keys=True):
             return False  # strict: a stated count of true is not 1
-        return _is_island(g, mask, g.full_mask(), cert["s"]) and claims["f_value"] <= cert["p"]
+        return is_island(g, mask, g.full_mask(), cert["s"]) and claims["f_value"] <= cert["p"]
     if kind == "coloring":
         f = _parameter(cert)
         colors = cert["colors"]

@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from fpcolor import constructions as cons
+from fpcolor.check import verify_fp_proper
 from fpcolor.errors import CapExceeded
 from fpcolor.graph import ClassOracle, average_degree, bits, class_masks, mask_of, to_graph6
 from fpcolor.params import PARAMETERS
@@ -27,7 +28,6 @@ from fpcolor.solvers import (
     find_island,
     greedy_color,
     greedy_plan,
-    verify_fp_proper,
 )
 
 STAR = PARAMETERS["star"]

@@ -57,7 +57,7 @@ def brute_chi(g, f, p):
     """Least color count admitting a coloring whose classes all have f <= p."""
     from itertools import product
 
-    from fpcolor.solvers import verify_fp_proper
+    from fpcolor.check import verify_fp_proper
 
     if g.n == 0:
         return 0
@@ -94,7 +94,7 @@ def find_island_unpruned(g, s, f, p, active=None, cutoff=None):
     vertices: the reference for the first island in depth-first order.  Each
     search node tests its island vertices against the banned set, and every
     vertex added is class-tested first."""
-    from fpcolor.solvers import _is_island, excluded_core
+    from fpcolor.check import excluded_core, is_island
 
     if active is None:
         active = g.full_mask()
@@ -109,7 +109,7 @@ def find_island_unpruned(g, s, f, p, active=None, cutoff=None):
             rejected |= 1 << v
 
     def search(island, ext, banned):
-        if _is_island(g, island, active, s):
+        if is_island(g, island, active, s):
             return island
         # a vertex already saturated by permanently-excluded neighbors
         # can never satisfy the island condition in any extension
@@ -144,7 +144,8 @@ def peel_dfs(g, s, f, p, cutoff=None, allowed=None):
     island ``find_island`` finds.  The reference for the remainder of a
     stuck peel.  ``allowed``, the class oracle ``col_fp`` shares, goes
     unused: each ``find_island`` call builds its own."""
-    from fpcolor.solvers import find_island, star_cutoff
+    from fpcolor.check import star_cutoff
+    from fpcolor.solvers import find_island
 
     if cutoff is None:
         cutoff = star_cutoff(g, f, p)
@@ -165,7 +166,7 @@ def brute_find_coloring(order, palette, allowed):
     find.  Only a partial class that is not allowed ends a branch, and every
     class test is ``allowed[mask]``, with no ``new`` hint.  ``palette`` is an int s, or
     per-vertex colour lists as bitmasks, each tried in ascending order, the
-    reference for ``solvers.exists_L_coloring``."""
+    reference for ``check.exists_L_coloring``."""
     k = len(order)
     free = isinstance(palette, int)
     choices = None if free else [list(bits(palette[v])) for v in order]

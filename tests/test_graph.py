@@ -26,7 +26,7 @@ from fpcolor.graph import (
     to_graph6,
 )
 from fpcolor.params import PARAMETERS
-from fpcolor.solvers import exists_L_coloring
+from fpcolor.check import exists_L_coloring
 
 
 def test_basic_accessors():

@@ -603,6 +603,18 @@ def test_chromatic_cap():
         CHROMATIC.eval(cons.random_gnp(30, 0.5, 1))
 
 
+def test_chromatic_cap_bounds_only_the_exact_search():
+    """Past 24 vertices the clique and greedy bounds still answer: on a path
+    and on K_{13,13} both read 2, and a class test passes on a greedy
+    colouring below its cap.  A 25-cycle's bounds, 2 and 3, leave a search,
+    which the cap refuses."""
+    path = cons.path(40)
+    assert CHROMATIC.eval(path) == 2 and CHROMATIC.allows(path, path.full_mask(), 2)
+    assert CHROMATIC.eval(cons.complete_bipartite(13, 13)) == 2
+    with pytest.raises(CapExceeded):
+        CHROMATIC.eval(cons.cycle(25))
+
+
 def test_eval_mask_matches_induced_eval():
     rng = random.Random(41)
     for g in sample_graphs(20, 8, 41, min_n=1):

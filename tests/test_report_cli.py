@@ -33,8 +33,9 @@ from fpcolor.report import (
     verify_certificate,
     verify_report,
 )
+from fpcolor.check import exists_L_coloring
 from fpcolor.solvers import (CHOOSABILITY_N_CAP, CHOOSABILITY_S_CAP, chi_fp, col_fp,
-                             decide_choosability_fp, exists_L_coloring, find_island)
+                             decide_choosability_fp, find_island)
 from fpcolor.graph import bits, from_graph6, mask_of, to_graph6
 from fpcolor.suites import choosability_value, random_graph_sample
 
@@ -604,6 +605,22 @@ def test_fan_jobs_class_test_counts(tmp_path, capsys):
             assert code == 0, argv
         capsys.readouterr()
         assert solved + checked <= bound, (argv, solved, checked)
+
+
+def test_cli_chromatic_past_its_cap_when_the_bounds_decide(tmp_path, capsys):
+    """A class test or a value that the greedy bounds settle is not refused
+    at the chromatic cap of 24 vertices: a 40-vertex path is one island
+    with chromatic 2, and K_{13,13} has chromatic 2."""
+    out_file = tmp_path / "col.json"
+    code, _, _ = run_cli(capsys, "solve", "col", "--gen", "path:40", "--f", "chromatic",
+                         "--p", "2", "--out", str(out_file))
+    assert code == 0
+    assert json.loads(out_file.read_text())["result"]["value"] == 1
+    code, out, _ = run_cli(capsys, "verify", str(out_file))
+    assert code == 0 and "OK" in out
+    code, out, _ = run_cli(capsys, "param", "--gen", "complete-bipartite:13,13",
+                           "--f", "chromatic")
+    assert code == 0 and json.loads(out)["result"]["value"] == 2
 
 
 def test_cli_col_past_the_exhaustive_cap(tmp_path, capsys):

@@ -20,6 +20,8 @@ from fpcolor.graph import (ClassOracle, Graph, bits, core_numbers, find_coloring
                            mask_of)
 from fpcolor.params import PARAMETERS, Parameter
 from fpcolor.report import assignment_to_json, verify_certificate
+from fpcolor.check import (excluded_core, exists_L_coloring, island_free_exhaustive, star_cutoff,
+                           verify_fp_proper, verify_peel)
 from fpcolor.solvers import (
     chi_fp,
     col_fp,
@@ -27,19 +29,13 @@ from fpcolor.solvers import (
     connected_sets,
     decide_choosability_fp,
     degeneracy_col,
-    excluded_core,
-    exists_L_coloring,
     find_island,
     greedy_color,
     greedy_island_coloring,
     greedy_plan,
-    island_free_exhaustive,
     peel,
-    star_cutoff,
-    verify_fp_proper,
-    verify_peel,
 )
-from fpcolor import solvers, suites
+from fpcolor import check, solvers, suites
 from fpcolor.suites import (_small_subgraph_densities, choosability_value, draw_lists,
                             random_graph_sample, suite_lemma1)
 
@@ -132,9 +128,9 @@ def test_degree_sum_cut_enters_fewer_nodes(monkeypatch):
     for g in random_graph_sample(60, 14, 211, min_n=6):
         for p, s in product(range(4), range(1, 5)):
             for active in (g.full_mask(), rng.getrandbits(g.n)):
-                island, nodes = count_calls(find_island, solvers._is_island.__code__, g, s,
+                island, nodes = count_calls(find_island, check.is_island.__code__, g, s,
                                             mad, p, active, caller=search)
-                same, uncut_nodes = count_calls(find_island, solvers._is_island.__code__, g,
+                same, uncut_nodes = count_calls(find_island, check.is_island.__code__, g,
                                                 s, uncut, p, active, caller=search)
                 assert island == same and nodes <= uncut_nodes, (g.edges(), p, s, active)
                 fewer += nodes < uncut_nodes
@@ -145,12 +141,12 @@ def test_find_island_search_work_bound():
     """On the stuck remainders at s = col - 1 of the two costliest benchmark
     peels, the unpruned search entered 7,117 (fan) and 1,374 (mad) nodes;
     the degree-sum cut takes the mad search from 191 to 39.  ``search``
-    tests each node it enters with ``_is_island``, once."""
+    tests each node it enters with ``is_island``, once."""
     for spec, f, p, bound in (((22, 0.3, 1), FAN, 3, 2000),
                               ((20, 0.3, 1), PARAMETERS["mad"], 2, 60)):
         g = cons.random_gnp(*spec)
         res = col_fp(g, f, p)
-        island, nodes = count_calls(find_island, solvers._is_island.__code__, g,
+        island, nodes = count_calls(find_island, check.is_island.__code__, g,
                                     res.value - 1, f, p, res.lower_certificate,
                                     caller=nested_code(find_island, "search"))
         assert island is None and nodes <= bound, (spec, f.id, nodes)
@@ -165,7 +161,8 @@ def test_neighbourhood_rule_work_bound(monkeypatch):
     ``NEIGHBOURHOOD_BUDGET`` lookups stops and keeps its vertex: with the
     budget at 1,000 the centre stays in at s = 8, 9 and 10.  So does one
     that meets a parameter's cap, as on K_{1,25} at s = 1, where the centre
-    and 21 leaves exceed the caps of fan and chromatic."""
+    and 21 leaves exceed fan's cap; chromatic keeps it by its greedy
+    2-colouring, which needs no capped search."""
     g = Graph(21, [(0, v) for v in range(1, 21)] + [(v, v + 1) for v in range(1, 21, 2)])
     allows = Parameter.allows.__code__
     for f in (FAN, CHROMATIC):
@@ -177,7 +174,7 @@ def test_neighbourhood_rule_work_bound(monkeypatch):
             if s == 10:
                 assert tests <= 11_800, (f.id, tests)
         assert total <= 20_200, (f.id, total)
-    monkeypatch.setattr(solvers, "NEIGHBOURHOOD_BUDGET", 1000)
+    monkeypatch.setattr(check, "NEIGHBOURHOOD_BUDGET", 1000)
     for f in (FAN, CHROMATIC):
         for s in range(1, 21):
             core, tests = count_calls(excluded_core, allows, g, s, f, 2, g.full_mask())
@@ -251,7 +248,7 @@ def test_col_small_first_work_bound():
     class tests, and with the degree-sum cut as well 494 and 717."""
     g = cons.random_gnp(48, 0.1, 1)
     mad = PARAMETERS["mad"]
-    res, nodes = count_calls(col_fp, solvers._is_island.__code__, g, mad, 1,
+    res, nodes = count_calls(col_fp, check.is_island.__code__, g, mad, 1,
                              caller=nested_code(find_island, "search"))
     assert res.value == 3 and nodes <= 800, nodes
     res, tests = count_calls(col_fp, Parameter.allows.__code__, g, mad, 1)
@@ -265,11 +262,11 @@ def test_col_degree_sum_cut_work_bound():
     the remainder is proved island-free in 138."""
     g = cons.random_gnp(64, 0.1, 1)
     mad = PARAMETERS["mad"]
-    res, nodes = count_calls(col_fp, solvers._is_island.__code__, g, mad, 1,
+    res, nodes = count_calls(col_fp, check.is_island.__code__, g, mad, 1,
                              caller=nested_code(find_island, "search"))
     assert res.value == 4 and nodes <= 15000, nodes
     assert res.lower_certificate.bit_count() == 60
-    island, nodes = count_calls(find_island, solvers._is_island.__code__, g, 3, mad, 1,
+    island, nodes = count_calls(find_island, check.is_island.__code__, g, 3, mad, 1,
                                 res.lower_certificate,
                                 caller=nested_code(find_island, "search"))
     assert island is None and nodes <= 300, nodes
