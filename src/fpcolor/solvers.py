@@ -361,18 +361,26 @@ def decide_choosability_fp(g: Graph, s: int, f: Parameter, p: int, cap_s=CHOOSAB
       masks misses fewer than s of the colors in use after it, and not the
       empty one; otherwise w's list is s missing colors, old ones first.
       A coloring c in S counts only if its class k takes v, and w may join
-      class j if class j of c (with v, if j = k) takes it.  This is exact:
-      the state set the next level would build differs only by dropping
-      colorings whose classes contain another's, which reach no more colors
-      for w, and class components not next to w, which leave every class
-      test on w as it was (f is connected).
-    * A state proved to have no bad completion is memoised under a key that
-      forgets what cannot matter below it.  Each class keeps only its
-      components next to an unlisted vertex (the others can never grow, and
-      f is connected), and a coloring whose classes contain those of
-      another is dropped.  Colors empty in every coloring act as fresh ones
-      and are left out; the rest are put in an order that does not depend
-      on their names.
+      class j if class j of c (with v, if j = k) takes it.  So the masks
+      are an OR over S of one reach vector per coloring, which depends only
+      on the coloring and the number of colors in use: each is computed
+      once, into a dict that is freed with the search.  This is exact: the
+      state set the next level would build differs only by dropping
+      colorings whose classes contain another's, and class components not
+      next to w, which leave every class test on w as it was (f is
+      connected).
+    * ``settle`` takes S as the level above builds it, without dropping
+      colorings whose classes contain another's: as f is hereditary, such
+      a coloring's reach vector lies inside the other's, so the OR is the
+      same.  Nor is depth n - 2 memoised; a hit would only skip a
+      ``settle`` that the cache already makes cheap.
+    * A state at depth n - 3 or less that is proved to have no bad
+      completion is memoised under a key that forgets what cannot matter
+      below it.  Each class keeps only its components next to an unlisted
+      vertex (the others can never grow, and f is connected), and a
+      coloring whose classes contain those of another is dropped.  Colors
+      empty in every coloring act as fresh ones and are left out; the rest
+      are put in an order that does not depend on their names.
 
     Pruning only skips subtrees without a bad leaf, so on False the
     certificate is the first bad assignment of the enumeration, its lists as
@@ -446,30 +454,41 @@ def decide_choosability_fp(g: Graph, s: int, f: Parameter, p: int, cap_s=CHOOSAB
             for old in combinations(range(used), s - fresh):
                 yield old + block, used + fresh
 
+    vbit, wbit = 1 << v, 1 << w
+    reach_of = {}  # (coloring, colors in use) -> its reach_vector, for this decision only
+
+    def reach_vector(c, used):
+        """For each color k of v, the colors w can take in coloring c with v
+        in class k, as field k of width used + s + 1 (see ``settle``)."""
+        width = used + s + 1
+        # the colors w can take while v is in none of c's classes, those
+        # from bit used on standing for colors empty in S
+        beside = (((2 << s) - 1) << used if allowed[wbit] else 0) | sum(
+            allowed[c >> j * n & full | wbit] << j for j in range(used))
+        vector = 0
+        for k in range(used + s):
+            m = c >> k * n & full | vbit
+            if allowed[m]:  # bit k is w joining v's class
+                vector |= (beside & ~(1 << k) | allowed[m | wbit] << k) << k * width
+        return vector
+
     def settle(used, S):
         """Whether lists for v and w defeat every coloring in S, which holds
         the colorings of all other vertices; if so they are written."""
         empty = used + s  # the bit of every color empty in S
-        reachable = []  # color k of v -> the colors w can then take
-        vbit, wbit = 1 << v, 1 << w
-        alone = ((2 << s) - 1) << used if allowed[wbit] else 0  # colors empty in S
-        # the colors w can take in c while v is in none of c's classes
-        beside = [alone | sum(allowed[c >> j * n & full | wbit] << j for j in range(used))
-                  for c in S]
-        for k in range(empty):
-            mask, kbit = 0, 1 << k
-            for c, colors in zip(S, beside):
-                m = c >> k * n & full | vbit
-                if allowed[m]:  # bit k is w joining v's class
-                    mask |= colors & ~kbit | allowed[m | wbit] << k
-            reachable.append(mask)
+        vector = 0
+        for c in S:
+            if (got := reach_of.get((c, used))) is None:
+                got = reach_of[c, used] = reach_vector(c, used)
+            vector |= got
+        field = (2 << empty) - 1
+        reachable = [vector >> k * (empty + 1) & field for k in range(empty)]
         for lst, now in candidates(used):
             union = 0
             for k in lst:
                 union |= reachable[k]
-            missing = [j for j in range(now) if not union >> j & 1]
-            if len(missing) >= s or not union >> empty & 1:
-                old = missing[:s]
+            if (~union & ((1 << now) - 1)).bit_count() >= s or not union >> empty & 1:
+                old = [j for j in range(now) if not union >> j & 1][:s]
                 lists[v] = lst
                 lists[w] = (*old, *range(now, now + s - len(old)))
                 return True
@@ -480,22 +499,20 @@ def decide_choosability_fp(g: Graph, s: int, f: Parameter, p: int, cap_s=CHOOSAB
             for u in order[i:]:
                 lists[u] = range(s)
             return True
+        if i == n - 2:
+            return settle(used, S)
         memo = key(i, S)
         if memo in safe:
             return False
-        if i == n - 2:
-            if settle(used, S):
+        children = [[d for c in S if (d := child(i, c, k)) is not None]
+                    for k in range(used + s)]
+        for lst, now in candidates(used):
+            lists[order[i]] = lst
+            nxt = set()
+            for k in lst:
+                nxt.update(children[k])
+            if search(i + 1, now, minimal(nxt) if i < n - 3 else nxt):
                 return True
-        else:
-            children = [[d for c in S if (d := child(i, c, k)) is not None]
-                        for k in range(used + s)]
-            for lst, now in candidates(used):
-                lists[order[i]] = lst
-                nxt = set()
-                for k in lst:
-                    nxt.update(children[k])
-                if search(i + 1, now, minimal(nxt)):
-                    return True
         safe.add(memo)
         return False
 

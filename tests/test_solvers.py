@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import random
@@ -593,14 +594,56 @@ def test_choosability_certificates_pinned():
         "390fb4bd49394818f5f2c625711e8559b8e8f65b6ff4de45f389c8468ba2978e")
 
 
+def test_choosability_certificates_pinned_past_six_vertices():
+    """Answers and certificates of eleven s = 2 decisions on 7 to 10
+    vertices, past the sample above, hashed.  The hash was computed by the
+    search of commit 9269382, which still memoised depth n - 2 and settled
+    the last two vertices from a reduced state set."""
+    decisions = []
+    for g, f, p in ((cons.cycle(7), STAR, 1), (cons.cycle(8), STAR, 1),
+                    (cons.cycle(7), MAX_DEGREE, 1), (cons.cycle(8), FAN, 2),
+                    (cons.complete_bipartite(3, 4), MAX_DEGREE, 1),
+                    (cons.complete_bipartite(3, 4), STAR, 2),
+                    (cons.complete_bipartite(2, 5), FAN, 2),
+                    (cons.complete_bipartite(2, 5), STAR, 1),
+                    (cons.path_power(7, 2), MAX_DEGREE, 2), (cons.petersen(), STAR, 1),
+                    (cons.fan_join(2), PARAMETERS["mad"], 1)):
+        ok, bad = decide_choosability_fp(g, 2, f, p)
+        decisions.append([ok, None if ok else [list(bits(lst)) for lst in bad]])
+    text = json.dumps(decisions, separators=(",", ":"))
+    assert sum(not ok for ok, _ in decisions) == 3
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "234d13db834b50bd4b0986ddc2e5873986f432027784074f9a549af642241b9e")
+
+
 def test_choosability_search_work_bound():
-    """The last two vertices are settled from colour masks, with no search
-    call of their own: the two costliest benchmark decisions make 207 calls
-    each, where building a state set for the last vertex made 2,321 and
-    1,197."""
-    for g, f, p in ((cons.fan_join(2), FAN, 2), (cons.complete_bipartite(3, 3), MAX_DEGREE, 1)):
-        (ok, _), calls = count_calls(decide_choosability_fp, "search", g, 2, f, p)
-        assert ok and calls <= 300, (g.name, calls)
+    """The last two vertices are settled from per-coloring reach vectors,
+    with no search call, memo key or ``minimal`` of their own.  On the two
+    costliest benchmark decisions ``search`` runs 207 times each, where
+    building a state set for the last vertex made 2,321 and 1,197 calls;
+    ``key`` runs 28 times, where memoising depth n - 2 as well made 207;
+    and ``reach_vector`` runs once for each distinct coloring and color
+    count, 589 and 380 times, where ``settle`` used to redo the work for
+    every coloring of every call."""
+    for g, f, p, vectors in ((cons.fan_join(2), FAN, 2, 650),
+                             (cons.complete_bipartite(3, 3), MAX_DEGREE, 1, 420)):
+        for inner, bound in (("search", 300), ("key", 40), ("reach_vector", vectors)):
+            (ok, _), calls = count_calls(decide_choosability_fp, inner, g, 2, f, p)
+            assert ok and calls <= bound, (g.name, inner, calls)
+
+
+def test_choosability_search_leaves_no_cycles():
+    """A decision frees its search, memo and reach cache when it returns,
+    not at a later gc pass: the closures that share them form no cycle."""
+    graphs = cons.complete_bipartite(3, 3), cons.complete_bipartite(2, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        assert decide_choosability_fp(graphs[0], 2, MAX_DEGREE, 1)[0]
+        assert not decide_choosability_fp(graphs[1], 2, STAR, 1)[0]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_two_choosability_matches_erdos_rubin_taylor():
